@@ -4,9 +4,8 @@ Layers are the package modules. Each wrapper replaces the name at the site
 that calls it (the CLI imports most names into its own namespace, the
 solvers call each other through module globals, the builder through its
 class), so a traced run makes exactly the calls an untraced run makes.
-Two calls change shape: `load_edges` parses its whole stream into a list
-inside its span, so that parsing and sketch building time apart, and the
-source handed to `setcover_multipass` opens one span per pass.
+One call changes shape: `load_edges` parses its whole stream into a list
+inside its span, so that parsing and sketch building time apart.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from spans import totals_by_name
 PER_LAYER = [
     ("instance.parse_binary_s", "s", "lower"),
     ("instance.parse_binary_edges_per_s", "1/s", "higher"),
-    ("instance.parse_text_s", "s", "lower"),
-    ("instance.parse_text_edges_per_s", "1/s", "higher"),
     ("instance.from_edges_s", "s", "lower"),
     ("instance.instances_built", "count", "lower"),
     ("hashing.hash_s", "s", "lower"),
@@ -43,18 +40,6 @@ PER_LAYER = [
     ("sketch.build_peak_mb", "MB", "lower"),
     ("solvers.adapt_s", "s", "lower"),
     ("solvers.greedy_s", "s", "lower"),
-    ("solvers.probe_s", "s", "lower"),
-    ("solvers.probes", "count", "lower"),
-    ("solvers.probes_rejected", "count", "lower"),
-    ("solvers.accept_level", "count", "lower"),
-    ("solvers.fanout_s", "s", "lower"),
-    ("solvers.fanout_peak_mb", "MB", "lower"),
-    ("solvers.fanout_useful_ratio", "ratio", "higher"),
-    ("solvers.multipass_pass1_s", "s", "lower"),
-    ("solvers.multipass_pass2_s", "s", "lower"),
-    ("solvers.multipass_pass3_s", "s", "lower"),
-    ("solvers.multipass_residual", "count", "lower"),
-    ("solvers.tail_greedy_s", "s", "lower"),
     ("solvers.brute_force_s", "s", "lower"),
     ("solvers.brute_force_combos", "count", "lower"),
     ("solvers.exact_greedy_s", "s", "lower"),
@@ -128,44 +113,10 @@ def targets(tracer):
         if t.op_counts(t.op)["sketch.builds"] == 1:
             t.note("sketch.first", sk)
 
-    def note_probe(t, args, kwargs, result):
-        t.count("solvers.probes")
-        if result is solvers.REJECT:
-            t.count("solvers.probes_rejected")
-        else:
-            t.note("solvers.accept_level", t.op_counts(t.op)["solvers.probes"] - 1)
-
-    def note_outliers(t, args, kwargs, result):
-        if kwargs.get("mode") == "fanout":
-            t.note("solvers.fanout_args", args[1:4])
-
-    def outliers_name(args, kwargs):
-        return f"solvers.setcover_outliers.{kwargs.get('mode', 'lazy')}"
-
     def greedy_name(args, kwargs):
         if isinstance(args[0], sketch.Sketch):
             return "solvers.greedy_kcover"
         return "solvers.exact_greedy_kcover"
-
-    def timed_passes(multipass):
-        @functools.wraps(multipass)
-        def run(source, *args, **kwargs):
-            opened = 0
-
-            def timed_source():
-                nonlocal opened
-                opened += 1
-                name = f"solvers.multipass_pass{opened}"
-
-                def replay():
-                    index = tracer.begin(name)
-                    try:
-                        yield from source()
-                    finally:
-                        tracer.end(index)
-                return replay()
-            return multipass(timed_source, *args, **kwargs)
-        return tracer.wrap(run, "solvers.setcover_multipass")
 
     def classmethod_span(name):
         return lambda cm: classmethod(tracer.wrap(cm.__func__, name))
@@ -178,20 +129,13 @@ def targets(tracer):
         (harness.EdgeSourceBase, "__call__", counted("passes")),
         (instance.CoverageInstance, "from_edges",
          classmethod_span("instance.from_edges")),
-        (builder, "__init__", counted("sketch.builders_created")),
         (builder, "extend", span("sketch.extend", note_extend)),
         (builder, "finalize", span("sketch.finalize", note_finalize)),
         (solvers, "build_sketch_from_stream", span("sketch.build_sketch_from_stream")),
         (solvers, "estimate_coverage", span("sketch.estimate_coverage")),
         (solvers, "as_set_system", span("solvers.as_set_system")),
         (solvers, "greedy_kcover", span(greedy_name)),
-        (solvers, "greedy_setcover", span("solvers.greedy_setcover")),
-        (solvers, "probe_params", span("solvers.probe_params")),
-        (solvers, "probe_on_sketch", span("solvers.probe_on_sketch", note_probe)),
-        (solvers, "setcover_outliers", span(outliers_name, note_outliers)),
         (solvers, "brute_force_kcover", span("solvers.brute_force_kcover", combos)),
-        (cli, "setcover_outliers", span(outliers_name, note_outliers)),
-        (cli, "setcover_multipass", timed_passes),
         (cli, "kcover_via_sketch", span("solvers.kcover_via_sketch")),
         (cli, "greedy_kcover", span(greedy_name)),
         (cli, "brute_force_kcover", span("solvers.brute_force_kcover", combos)),
@@ -221,9 +165,6 @@ def op_metrics(tracer, op: int, base: int, summary: dict) -> tuple[dict, dict]:
     def own(name):
         return table.get(name, {}).get("self_s", 0.0)
 
-    def wall(name):
-        return table.get(name, {}).get("wall_s", 0.0)
-
     def calls(name):
         return table.get(name, {}).get("calls", 0)
 
@@ -234,9 +175,6 @@ def op_metrics(tracer, op: int, base: int, summary: dict) -> tuple[dict, dict]:
         "instance.parse_binary_s": own("instance.parse_binary"),
         "instance.parse_binary_edges_per_s": rate(
             counts.get("instance.parse_binary_edges", 0), own("instance.parse_binary")),
-        "instance.parse_text_s": own("instance.parse_text"),
-        "instance.parse_text_edges_per_s": rate(
-            counts.get("instance.parse_text_edges", 0), own("instance.parse_text")),
         "instance.from_edges_s": own("instance.from_edges"),
         "instance.instances_built": calls("instance.from_edges"),
         "sketch.build_s": own("sketch.extend"),
@@ -254,20 +192,6 @@ def op_metrics(tracer, op: int, base: int, summary: dict) -> tuple[dict, dict]:
                                      if counts.get("sketch.seen_edges") else 0.0),
         "solvers.adapt_s": own("solvers.as_set_system"),
         "solvers.greedy_s": own("solvers.greedy_kcover"),
-        "solvers.probe_s": own("solvers.probe_on_sketch"),
-        "solvers.probes": counts.get("solvers.probes", 0),
-        "solvers.probes_rejected": counts.get("solvers.probes_rejected", 0),
-        "solvers.accept_level": notes.get("solvers.accept_level", [0])[-1],
-        "solvers.fanout_s": wall("solvers.setcover_outliers.fanout"),
-        "solvers.fanout_useful_ratio": (
-            counts.get("solvers.probes", 0) / counts["sketch.builders_created"]
-            if calls("solvers.setcover_outliers.fanout") else 0.0),
-        "solvers.multipass_pass1_s": wall("solvers.multipass_pass1"),
-        "solvers.multipass_pass2_s": wall("solvers.multipass_pass2"),
-        "solvers.multipass_pass3_s": wall("solvers.multipass_pass3"),
-        "solvers.multipass_residual": summary.get("solution_params", {}).get(
-            "residual_final", 0),
-        "solvers.tail_greedy_s": own("solvers.greedy_setcover"),
         "solvers.brute_force_s": own("solvers.brute_force_kcover"),
         "solvers.brute_force_combos": counts.get("solvers.brute_force_combos", 0),
         "solvers.exact_greedy_s": own("solvers.exact_greedy_kcover"),

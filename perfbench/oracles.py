@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 
 import numpy as np
 
@@ -17,11 +16,6 @@ def read_binary(path):
     """(set ids, element ids) of a little-endian u32 pair file."""
     pairs = np.fromfile(path, dtype="<u4").reshape(-1, 2)
     return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-
-
-def read_text(path):
-    pairs = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
-    return pairs[:, 0].copy(), pairs[:, 1].copy()
 
 
 def read_sidecar(path) -> dict:
@@ -57,15 +51,6 @@ def greedy_curve(u, v, n: int, m: int, steps: int) -> list[int]:
 
 def curve_at(curve: list[int], picks: int) -> int:
     return curve[min(picks, len(curve) - 1)]
-
-
-def partial_cover_size(curve: list[int], m: int, lam: float) -> int:
-    """Fewest greedy picks covering at least a 1 - lam fraction of m."""
-    goal = math.ceil((1.0 - lam) * m - 1e-9)
-    for picks, covered in enumerate(curve):
-        if covered >= goal:
-            return picks
-    raise ValueError("greedy curve never reaches the goal; extend `steps`")
 
 
 def brute_force_kcover(edges, n: int, k: int) -> int:

@@ -1,6 +1,6 @@
-"""covsketch benchmark: one workload per run, or all four in turn.
+"""covsketch benchmark: one workload per run, or both in turn.
 
-    python3 perfbench/run.py --workload stream_kcover --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload stream_kcover --seed 1 --seconds 45 --trace 0
     python3 perfbench/run.py --workload all --seed 1
 
 Run it from the root of a covsketch checkout; it imports the package from
@@ -38,7 +38,7 @@ HELD_OUT_SEED = 9001
 OUT_DIR = ".perfbench_out"
 SETUP_MIN_REPS, SETUP_MAX_REPS, SETUP_MIN_SECONDS = 3, 200, 1.0
 MIN_SAMPLES = 3          # timed operations per run, whatever --seconds says
-WORKER_TIMEOUT = 170     # seconds; a run must end within 180
+RUN_DEADLINE = 170       # seconds from the start of a run; it must end within 180
 
 # name, unit, better
 END_TO_END = [
@@ -49,7 +49,6 @@ END_TO_END = [
     ("passes", "count", "lower"),
     ("space_units", "count", "lower"),
     ("coverage_ratio", "ratio", "higher"),
-    ("cover_size_ratio", "ratio", "lower"),
 ]
 
 
@@ -57,7 +56,7 @@ def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=20)
+    p.add_argument("--seconds", type=float, default=45)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     return p.parse_args(argv)
@@ -135,7 +134,6 @@ def worker(workload, run_dir, args) -> int:
            "run_failures": sketch_checks(built[0]) if built else
            ["the operation built no sketch"]}
     first_build = (built[0].params, built[0].seed) if built else None
-    fanout_args = notes.get("solvers.fanout_args", [None])[0]
     del built, notes
 
     untraced, traced, per_op = [], [], []
@@ -171,9 +169,10 @@ def worker(workload, run_dir, args) -> int:
         layer.update(layers.hash_probe(workload.m, seed))
         layer["sketch.admit_s"] = (layer["sketch.build_s"] - layer["hashing.hash_s"]
                                    if layer["sketch.build_s"] > 0 else 0.0)
-        layer["sketch.build_peak_mb"] = layer["solvers.fanout_peak_mb"] = 0.0
+        layer["sketch.build_peak_mb"] = 0.0
         if workload.input_name and first_build:
-            layer.update(_peaks(workload, run_dir, *first_build, fanout_args))
+            layer["sketch.build_peak_mb"] = _build_peak_mb(workload, run_dir,
+                                                           *first_build)
         out["layer"] = layer
         with open(run_dir / "spans.jsonl", "w", encoding="ascii") as fp:
             for record in tracer.records()[:spans_end]:
@@ -183,22 +182,14 @@ def worker(workload, run_dir, args) -> int:
     return 0
 
 
-def _peaks(workload, run_dir, params, seed, fanout_args) -> dict:
-    """tracemalloc peaks of re-running the first build, and the first fan-out,
-    over the whole pre-parsed input."""
+def _build_peak_mb(workload, run_dir, params, seed) -> float:
+    """tracemalloc peak of re-running the first build over the whole
+    pre-parsed input."""
     import layers
-    from covsketch import build_sketch_from_stream, load_edges, setcover_outliers
-    mode = "rb" if workload.fmt == "binary" else "r"
-    with open(workload.input_path(run_dir), mode) as fp:
-        edges = list(load_edges(fp, workload.fmt))
-    peaks = {"sketch.build_peak_mb": layers.peak_mb(
-        lambda: build_sketch_from_stream(edges, params, seed))}
-    if fanout_args is not None:
-        n, opts, fan_seed = fanout_args
-        peaks["solvers.fanout_peak_mb"] = layers.peak_mb(
-            lambda: setcover_outliers(lambda: iter(edges), n, opts, fan_seed,
-                                      mode="fanout"))
-    return peaks
+    from covsketch import build_sketch_from_stream, load_edges
+    with open(workload.input_path(run_dir), "rb") as fp:
+        edges = list(load_edges(fp, "binary"))
+    return layers.peak_mb(lambda: build_sketch_from_stream(edges, params, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +198,7 @@ def _peaks(workload, run_dir, params, seed, fanout_args) -> dict:
 
 def parent(workload, run_dir, args, root) -> int:
     from layers import PER_LAYER
+    started = time.monotonic()
     setup_times = []
     while len(setup_times) < SETUP_MAX_REPS and (
             len(setup_times) < SETUP_MIN_REPS
@@ -220,9 +212,10 @@ def parent(workload, run_dir, args, root) -> int:
            "--workload", workload.name, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
     try:
-        proc = subprocess.run(cmd, cwd=root, timeout=WORKER_TIMEOUT)
+        proc = subprocess.run(cmd, cwd=root, timeout=max(
+            1.0, RUN_DEADLINE - (time.monotonic() - started)))
     except subprocess.TimeoutExpired:
-        print(f"perfbench: worker ran past {WORKER_TIMEOUT}s", file=sys.stderr)
+        print(f"perfbench: the run went past {RUN_DEADLINE}s", file=sys.stderr)
         return 1
     if proc.returncode != 0:
         print(f"perfbench: worker exited {proc.returncode}", file=sys.stderr)
@@ -294,11 +287,16 @@ def check_all(workload, ref, arrays, results, work) -> list[list[str]]:
 
 def end_to_end(workload, ref, arrays, passed, work, setup_times, sweep) -> dict:
     """The end-to-end metrics; quality comes from the first operation that
-    passed its checks, and reads 0 when none did."""
-    solve = statistics.median(work["solve_times"])
+    passed its checks, and reads 0 when none did.
+
+    solve_s is the mean over the timed loop, not the median: on a shared
+    host the CPU runs at two speeds about 1.5x apart in phases of tens of
+    seconds, and a run's median jumps to whichever speed held for most of
+    it, while the mean moves with the share of time spent in each.
+    """
+    solve = statistics.mean(work["solve_times"])
     metrics = {
         "coverage_ratio": 0.0,
-        "cover_size_ratio": 0.0,
         "setup_s": statistics.median(setup_times),
         "solve_s": solve,
         "edges_per_s": workload.edges_one_pass(ref) / solve,
@@ -373,23 +371,22 @@ def print_report(record, path) -> None:
     sweep = len(record["accuracy_sweep"])
     notes = {
         "setup_s": f"median of {samples['setup']} set-ups",
-        "solve_s": f"median of {len(times)} operations; " + (
+        "solve_s": f"mean of {len(times)} operations; median "
+                   f"{statistics.median(times):.4f} s; " + (
             f"p{tail:g} {summary.percentile(times, tail):.4f} s" if tail else
             f"no percentile has {summary.TAIL_BEYOND} samples beyond it"),
-        "edges_per_s": "edges in one pass / median solve_s",
+        "edges_per_s": "edges in one pass / solve_s",
         "peak_rss_mb": f"over {record['attempted']} operations",
         "passes": "counted in the warm-up operation",
         "space_units": "first sketch of the warm-up operation",
         "coverage_ratio": (f"mean of {sweep} accuracy-sweep builds" if sweep
                            else "first operation"),
-        "cover_size_ratio": "first operation",
     }
     traced = f"median of {samples['traced']} traced operations"
     layer_notes = {
         "hashing.": "one pass over the element ids after the loop",
         "sketch.admit_s": "derived: build_s - hash_s",
         "sketch.build_peak_mb": "tracemalloc, one re-run of the first build",
-        "solvers.fanout_peak_mb": "tracemalloc, one re-run of the first fan-out",
         "trace.": f"{traced} vs {samples['solve']} untraced",
         "accuracy.": f"mean over the accuracy sweep ({sweep} builds)",
     }
@@ -419,7 +416,7 @@ def run_all(args, root, names) -> int:
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", str(args.trace)]
         proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
-                              timeout=WORKER_TIMEOUT + 600)
+                              timeout=RUN_DEADLINE + 600)
         lines = proc.stdout.strip().splitlines()
         print("\n".join(lines[:-1]), flush=True)
         if proc.returncode != 0 or not lines:

@@ -1,4 +1,4 @@
-"""The four workloads: inputs made from a seed, one operation, its checks.
+"""The two workloads: inputs made from a seed, one operation, its checks.
 
 Each operation goes through the shipped CLI, `covsketch.cli.main(argv)`,
 with `--json`, the way a user runs it; only `exact_oracles` adds a loop of
@@ -57,8 +57,7 @@ class Workload:
     name = ""
     why = ""
     spec: dict = {}
-    input_name: str | None = None   # edge file the operation reads
-    fmt = "binary"
+    input_name: str | None = None   # binary edge file the operation reads
     n = m = 0
 
     def input_path(self, run_dir: Path) -> Path:
@@ -80,8 +79,8 @@ class Workload:
         raise NotImplementedError
 
     def quality(self, ref: dict, arrays, summary: dict) -> dict:
-        """coverage_ratio and cover_size_ratio of one operation."""
-        raise NotImplementedError
+        """coverage_ratio of one operation, where the workload has no sweep."""
+        return {}
 
     def edges_one_pass(self, ref: dict) -> int:
         return ref["edges"]
@@ -91,10 +90,7 @@ class Workload:
         return []
 
     def _read(self, run_dir: Path):
-        path = self.input_path(run_dir)
-        if self.fmt == "binary":
-            return oracles.read_binary(path)
-        return oracles.read_text(path)
+        return oracles.read_binary(self.input_path(run_dir))
 
 
 class StreamKCover(Workload):
@@ -138,9 +134,6 @@ class StreamKCover(Workload):
             fails.append(f"CLI recount {s['covered']} != independent recount {true}")
         return fails
 
-    def quality(self, ref, arrays, s):
-        return {"cover_size_ratio": len(s["chosen"]) / self.k}
-
     def accuracy_sweep(self, ref, arrays, seed) -> list[dict]:
         """Sketch-greedy coverage and estimate error per budget and seed."""
         from covsketch import SketchParams, kcover_via_sketch
@@ -160,117 +153,6 @@ class StreamKCover(Workload):
                     "coverage_ratio": true / ref["greedy_coverage"],
                     "estimate_rel_err": abs(sol.estimate.scaled - true) / true})
         return rows
-
-
-class LadderLazy(Workload):
-    name = "ladder_lazy"
-    why = ("the outlier ladder replays a text stream once per level with "
-           "budgets that never bind; the only text-parsing workload")
-    gen = "random:n=50,m=4000,p=0.05"
-    n, m, lam, eps = 50, 4000, 0.18, 0.3
-    input_name = "ladder.txt"
-    fmt = "text"
-    spec = {"input": gen, "format": "text",
-            "op": f"setcover-outliers --lambda {lam} --eps {eps} (lazy)"}
-
-    def setup(self, run_dir, seed):
-        path = self.input_path(run_dir)
-        _gen(self.gen, seed, path, "text")
-        u, v = self._read(run_dir)
-        curve = oracles.greedy_curve(u, v, self.n, self.m, self.n)
-        ref = {"edges": oracles.read_sidecar(path)["edge_count"], "curve": curve,
-               "partial_cover_size": oracles.partial_cover_size(curve, self.m,
-                                                                self.lam)}
-        return ref, (u, v)
-
-    def op(self, run_dir, seed):
-        return _report(*run_cli([
-            "setcover-outliers", "--input", self.input_path(run_dir),
-            "--lambda", self.lam, "--eps", self.eps, "--seed", seed, "--json"]))
-
-    def check(self, ref, arrays, s):
-        chosen = s["chosen"]
-        fails = []
-        if not _valid_ids(chosen, self.n):
-            fails.append(f"chosen {chosen} has repeated or out-of-range ids")
-        true = oracles.recount(*arrays, self.n, self.m, chosen)
-        if true < (1.0 - self.lam) * self.m:
-            fails.append(f"covers {true} of {self.m}, below 1 - lambda")
-        if s["covered"] != true:
-            fails.append(f"CLI recount {s['covered']} != independent recount {true}")
-        return fails
-
-    def quality(self, ref, arrays, s):
-        chosen = s["chosen"]
-        true = oracles.recount(*arrays, self.n, self.m, chosen)
-        return {"coverage_ratio": true / oracles.curve_at(ref["curve"], len(chosen)),
-                "cover_size_ratio": len(chosen) / ref["partial_cover_size"]}
-
-
-class MultipassFanout(Workload):
-    name = "multipass_fanout"
-    why = ("multi-pass cover feeds one pass to a fan-out of builders that "
-           "each hold the graph; memory-bound, planted optimum k*")
-    gen = "planted:n=60,m=6000,kstar=6"
-    n, m, k_star, r, eps = 60, 6000, 6, 2, 0.3
-    # The generator's edge count moves by about 12% from seed to seed, and
-    # the fan-out's time and memory move with it; of `draws` seeded draws the
-    # one closest to the expected size is kept, so seeds differ in the graph
-    # and not in its size: m planted edges plus the other sets' mean half block.
-    draws = 8
-    target_edges = m + (n - k_star) * m // (2 * k_star)
-    input_name = "planted.bin"
-    spec = {"input": f"{gen}, closest to {target_edges} edges of {draws} draws",
-            "format": "binary",
-            "op": f"setcover-multipass --format binary --r {r} --eps {eps}"}
-
-    def setup(self, run_dir, seed):
-        path = self.input_path(run_dir)
-        sizes = {}
-        for j in range(self.draws):
-            draw = run_dir / f"draw{j}.bin"
-            _gen(self.gen, seed * self.draws + j, draw, "binary")
-            sizes[j] = oracles.read_sidecar(draw)["edge_count"]
-        best = min(sizes, key=lambda j: (abs(sizes[j] - self.target_edges), j))
-        for j in sizes:
-            draw = run_dir / f"draw{j}.bin"
-            if j == best:
-                draw.replace(path)
-                Path(f"{draw}.meta.json").replace(f"{path}.meta.json")
-            else:
-                draw.unlink()
-                Path(f"{draw}.meta.json").unlink()
-        u, v = self._read(run_dir)
-        ref = {"edges": oracles.read_sidecar(path)["edge_count"],
-               "curve": oracles.greedy_curve(u, v, self.n, self.m, self.n),
-               "k_star": self.k_star}
-        return ref, (u, v)
-
-    def op(self, run_dir, seed):
-        return _report(*run_cli([
-            "setcover-multipass", "--input", self.input_path(run_dir),
-            "--format", "binary", "--r", self.r, "--eps", self.eps,
-            "--seed", seed, "--json"]))
-
-    def check(self, ref, arrays, s):
-        chosen = s["chosen"]
-        fails = []
-        if not _valid_ids(chosen, self.n):
-            fails.append(f"chosen {chosen} has repeated or out-of-range ids")
-        true = oracles.recount(*arrays, self.n, self.m, chosen)
-        if true != self.m or s["covered"] != self.m:
-            fails.append(f"covers {true} (CLI says {s['covered']}) of {self.m}")
-        want = 2 * (self.r - 1) + 1
-        got = (s["params"]["algorithm_passes"], s["params"]["pass_budget"])
-        if got != (want, want):
-            fails.append(f"algorithm passes and budget {got}, expected {want}")
-        return fails
-
-    def quality(self, ref, arrays, s):
-        chosen = s["chosen"]
-        true = oracles.recount(*arrays, self.n, self.m, chosen)
-        return {"coverage_ratio": true / oracles.curve_at(ref["curve"], len(chosen)),
-                "cover_size_ratio": len(chosen) / ref["k_star"]}
 
 
 def disjointness_sweep(max_n: int) -> tuple[int, int]:
@@ -362,15 +244,13 @@ class ExactOracles(Workload):
     def quality(self, ref, arrays, s):
         rows = s["eval"]
         return {"coverage_ratio": int(rows["sketch_greedy"]["coverage"])
-                / int(rows["brute_force"]["coverage"]),
-                "cover_size_ratio": 1.0}
+                / int(rows["brute_force"]["coverage"])}
 
     def edges_one_pass(self, ref):
         return ref["eval_edges"] + ref["pair_edges"]
 
 
-WORKLOADS = {w.name: w for w in (StreamKCover(), LadderLazy(), MultipassFanout(),
-                                 ExactOracles())}
+WORKLOADS = {w.name: w for w in (StreamKCover(), ExactOracles())}
 
 
 def sketch_checks(sk) -> list[str]:

@@ -26,7 +26,8 @@ from .harness import (EVAL_CSV_HEADER, SEED_BUILDER, SEED_DEMO, SEED_GENERATOR,
                       RunReport, emit_report, materialize_system, parse_gen_spec,
                       recount_coverage, scan_shape, solution_json)
 from .hashing import derive_seed
-from .instance import load_edges, write_edges_binary, write_edges_text, write_metadata
+from .instance import (EdgeStream, load_edge_blocks, load_edges,
+                       write_edges_binary, write_edges_text, write_metadata)
 from .sketch import SketchParams, StreamingSketchBuilder, save_sketch
 from .solvers import (OutlierParams, brute_force_kcover, brute_force_setcover,
                       greedy_kcover, kcover_via_sketch, setcover_multipass,
@@ -56,7 +57,9 @@ def _open_source(args, master_seed):
         return GenEdgeSource(spec, derive_seed(master_seed, SEED_GENERATOR))
     if args.input == "-":
         stream = sys.stdin.buffer if args.format == "binary" else sys.stdin
-        return OnceEdgeSource(load_edges(stream, args.format), "stdin")
+        return OnceEdgeSource(
+            EdgeStream(edges=load_edges(stream, args.format),
+                       blocks=load_edge_blocks(stream, args.format)), "stdin")
     return FileEdgeSource(args.input, args.format)
 
 
@@ -154,6 +157,7 @@ def cmd_build_sketch(args) -> int:
         "input_edges": builder.seen_edge_count,
         "bytes_written": written,
         "out": args.out,
+        "builder": builder.stats.as_dict(),
     }
     report.timings = timer.millis
     report.passes = src.opens
@@ -173,6 +177,7 @@ def cmd_kcover(args) -> int:
         sol = kcover_via_sketch(src(), n, args.k, args.eps, builder_seed,
                                 m_hint=m_hint, params=params)
     report.params = {"n": n, "k": args.k, "eps": args.eps}
+    report.sketch_stats = {"builder": sol.meta.pop("builder_stats")}
     report.solutions = [solution_json(sol, n, builder_seed)]
     covered = _maybe_recount(src, sol.chosen, report, timer)
     if args.with_opt:

@@ -13,11 +13,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
-from .instance import (Edge, gen_disjointness, gen_planted_cover, load_edges,
+from .instance import (Edge, EdgeStream, edge_blocks, gen_disjointness,
+                       gen_planted_cover, load_edge_blocks, load_edges,
                        random_edge_stream, read_metadata)
 from .solvers import SetSystem, Solution
 
@@ -38,7 +41,7 @@ EVAL_CSV_HEADER = "instance,seed,algo,k,coverage,opt,ratio,space_units,millis"
 
 
 class EdgeSourceBase:
-    """Callable yielding a fresh edge iterator per invocation, counting opens."""
+    """Callable yielding a fresh EdgeStream per invocation, counting opens."""
 
     label: str
     replayable: bool
@@ -46,11 +49,11 @@ class EdgeSourceBase:
     def __init__(self):
         self.opens = 0
 
-    def __call__(self) -> Iterator[Edge]:
+    def __call__(self) -> EdgeStream:
         self.opens += 1
         return self._open()
 
-    def _open(self) -> Iterator[Edge]:
+    def _open(self) -> EdgeStream:
         raise NotImplementedError
 
     def shape(self) -> tuple[int | None, int | None]:
@@ -75,9 +78,13 @@ class FileEdgeSource(EdgeSourceBase):
             pass
 
     def _open(self):
+        return EdgeStream(edges=self._read(load_edges),
+                          blocks=self._read(load_edge_blocks))
+
+    def _read(self, loader):
         mode = "rb" if self.fmt == "binary" else "r"
         with open(self.path, mode) as fp:
-            yield from load_edges(fp, self.fmt)
+            yield from loader(fp, self.fmt)
 
     def shape(self):
         if self._meta:
@@ -107,22 +114,28 @@ class GenEdgeSource(EdgeSourceBase):
 
     def _open(self):
         if self._inst is not None:
-            return self._inst.edges_by_element()
+            return EdgeStream(edges=self._inst.edges_by_element())
         spec = self.spec
-        return random_edge_stream(spec["n"], spec["m"], spec["p"], self.seed)
+        return EdgeStream(edges=random_edge_stream(spec["n"], spec["m"],
+                                                   spec["p"], self.seed))
 
     def shape(self):
         return (self.spec["n"], self.spec["m"])
 
 
 class OnceEdgeSource(EdgeSourceBase):
-    """Non-replayable wrapper (stdin); a second open is a state error."""
+    """Non-replayable wrapper (stdin); a second open is a state error.
+
+    Takes an EdgeStream, or any iterable of edges.
+    """
 
     replayable = False
 
     def __init__(self, edges: Iterable[Edge], label: str):
         super().__init__()
-        self._edges = iter(edges)
+        if not isinstance(edges, EdgeStream):
+            edges = EdgeStream(edges=iter(edges))
+        self._stream = edges
         self.label = label
         self._used = False
 
@@ -130,7 +143,7 @@ class OnceEdgeSource(EdgeSourceBase):
         if self._used:
             raise StateError(f"{self.label} cannot be replayed")
         self._used = True
-        return self._edges
+        return self._stream
 
 
 def parse_gen_spec(text: str) -> dict:
@@ -180,26 +193,38 @@ def scan_shape(edges: Iterable[Edge]) -> tuple[int, int, int]:
     max_u = -1
     max_v = -1
     count = 0
-    for u, v in edges:
-        if u > max_u:
-            max_u = u
-        if v > max_v:
-            max_v = v
-        count += 1
+    for u, v in edge_blocks(edges):
+        if not u.size:
+            continue
+        max_u = max(max_u, int(u.max()))
+        max_v = max(max_v, int(v.max()))
+        count += int(u.size)
     return (max_u + 1, max_v + 1, count)
 
 
 def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
                      ) -> tuple[int, int]:
     """(covered, universe) distinct-element counts from one stream pass."""
-    picks = set(chosen)
-    covered: set[int] = set()
-    universe: set[int] = set()
-    for u, v in edges:
-        universe.add(v)
-        if u in picks:
-            covered.add(v)
-    return (len(covered), len(universe))
+    picks = np.array(sorted(set(chosen)), dtype=np.int64)
+    covered = np.empty(0, dtype=np.int64)
+    universe = np.empty(0, dtype=np.int64)
+    for u, v in edge_blocks(edges):
+        universe = _union(universe, v)
+        if picks.size:
+            covered = _union(covered, v[np.isin(u, picks, kind="table")])
+    return (int(covered.size), int(universe.size))
+
+
+def _union(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """Sorted distinct ids of both arrays; `ids` is sorted and distinct."""
+    if more.size > 1 and not (more[1:] >= more[:-1]).all():
+        more = np.sort(more)
+    merged = np.concatenate((ids, more))
+    merged.sort(kind="stable")       # two sorted runs: a linear merge
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
 
 
 def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:

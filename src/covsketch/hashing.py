@@ -8,6 +8,8 @@ results are reproducible across platforms and processes.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -45,6 +47,19 @@ class ElementHasher:
 
     def value(self, element: int) -> int:
         return splitmix64(self._key ^ ((element * _GOLDEN) & MASK64))
+
+    def values(self, elements) -> np.ndarray:
+        """`value` of each id in an integer array, as uint64, bit for bit."""
+        x = np.asarray(elements).astype(np.uint64)
+        x *= np.uint64(_GOLDEN)
+        x ^= np.uint64(self._key)
+        x += np.uint64(_GOLDEN)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        return x
 
     def unit(self, element: int) -> float:
         """Hash scaled by 2^-64, rounded to nearest double.

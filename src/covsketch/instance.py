@@ -2,14 +2,16 @@
 
 An instance is a bipartite graph between n sets (ids 0..n-1) and m elements
 (ids 0..m-1). Edges arrive as (set_id, element_id) pairs; loaders are
-streaming and never materialize the whole input. Every element of a
-constructed instance belongs to at least one set: isolated elements are either
-attached to a uniformly random set (when an attachment seed is supplied) or
-rejected.
+streaming and never materialize the whole input; bulk consumers read them
+as blocks, pairs of int64 arrays (set ids, element ids) of at most
+BLOCK_EDGES rows. Every element of a constructed instance belongs to at
+least one set: isolated elements are either attached to a uniformly random
+set (when an attachment seed is supplied) or rejected.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from typing import IO, Iterable, Iterator
@@ -19,8 +21,10 @@ import numpy as np
 from .errors import IdRangeError, IsolatedElementError, ParseError
 
 Edge = tuple[int, int]
+EdgeBlock = tuple[np.ndarray, np.ndarray]
 
 MAX_ID = 2**32 - 1
+BLOCK_EDGES = 65_536
 
 _BIN_EDGE = struct.Struct("<II")
 
@@ -165,14 +169,16 @@ def _parse_text_line(line: str, line_no: int) -> Edge | None:
     return (out[0], out[1])
 
 
-def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
-    """Yield (set_id, element_id) pairs from a text or binary edge stream.
+def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
+    """Yield (set ids, element ids) int64 array blocks from an edge stream.
 
     Text: one 'set_id element_id' pair per line, '#' comment lines and blank
     lines skipped. Binary: consecutive little-endian u32 pairs. Malformed
-    input raises ParseError carrying the byte position.
+    input raises ParseError carrying the byte position, after every block
+    before it has been yielded.
     """
     if format == "text":
+        batch: list[Edge] = []
         for line_no, line in enumerate(stream, start=1):
             if isinstance(line, bytes):
                 try:
@@ -182,18 +188,26 @@ def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
                                      line=line_no, offset=exc.start) from None
             edge = _parse_text_line(line, line_no)
             if edge is not None:
-                yield edge
+                batch.append(edge)
+                if len(batch) == BLOCK_EDGES:
+                    yield _block_from_pairs(batch)
+                    batch = []
+        if batch:
+            yield _block_from_pairs(batch)
     elif format == "binary":
+        size = BLOCK_EDGES * _BIN_EDGE.size
         offset = 0
         pending = b""
         while True:
-            chunk = stream.read(1 << 16)
+            chunk = stream.read(size - len(pending))
             if not chunk:
                 break
             data = pending + chunk
-            usable = len(data) - (len(data) % 8)
-            for (u, v) in _BIN_EDGE.iter_unpack(data[:usable]):
-                yield (u, v)
+            usable = len(data) - (len(data) % _BIN_EDGE.size)
+            if usable:
+                pairs = np.frombuffer(data, dtype="<u4", count=usable // 4)
+                pairs = pairs.astype(np.int64).reshape(-1, 2)
+                yield pairs[:, 0], pairs[:, 1]
             pending = data[usable:]
             offset += usable
         if pending:
@@ -201,6 +215,60 @@ def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
                              offset=offset)
     else:
         raise ValueError(f"unknown edge format {format!r}")
+
+
+def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
+    """Yield (set_id, element_id) pairs: `load_edge_blocks`, one edge at a time."""
+    for u, v in load_edge_blocks(stream, format):
+        yield from zip(u.tolist(), v.tolist())
+
+
+def _block_from_pairs(pairs: list[Edge]) -> EdgeBlock:
+    try:
+        block = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise IdRangeError("an id in the edge batch exceeds the 64-bit range") from None
+    return block[:, 0], block[:, 1]
+
+
+def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
+    """The edges as blocks: the source's own `blocks()` when it has one,
+    otherwise its (set_id, element_id) tuples batched BLOCK_EDGES at a time."""
+    blocks = getattr(edges, "blocks", None)
+    if blocks is not None:
+        yield from blocks()
+        return
+    it = iter(edges)
+    while batch := list(itertools.islice(it, BLOCK_EDGES)):
+        yield _block_from_pairs(batch)
+
+
+class EdgeStream:
+    """One open of an edge source.
+
+    Iterating yields (set_id, element_id) tuples; `blocks()` yields the same
+    edges as int64 array blocks (see `load_edge_blocks`). A stream is read
+    once, one way or the other. Either view can be given; the other is
+    derived from it.
+    """
+
+    __slots__ = ("_edges", "_blocks")
+
+    def __init__(self, edges: Iterable[Edge] | None = None,
+                 blocks: Iterable[EdgeBlock] | None = None):
+        self._edges = edges
+        self._blocks = blocks
+
+    def __iter__(self) -> Iterator[Edge]:
+        if self._edges is not None:
+            return iter(self._edges)
+        return (edge for u, v in self._blocks
+                for edge in zip(u.tolist(), v.tolist()))
+
+    def blocks(self) -> Iterator[EdgeBlock]:
+        if self._blocks is not None:
+            return iter(self._blocks)
+        return edge_blocks(self._edges)
 
 
 def write_edges_text(stream: IO, edges: Iterable[Edge]) -> int:

@@ -8,26 +8,31 @@ elements divided by that threshold estimate coverage on the full instance.
 
 Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
-that evicts the largest-hash element whenever the retained edge count exceeds
-edge_budget + degree_cap. Under one (seed, params) pair and a cap that never
-binds, their finalized sketches are byte-identical after serialization.
+that ingests the edge stream a block at a time (at most BLOCK_EDGES edges)
+and, after each block, evicts the largest-hash elements until at most
+edge_budget + degree_cap edges remain. The streaming builder therefore holds
+edge_budget + degree_cap retained edges plus one block in flight. Under one
+(seed, params) pair and a cap that never binds, the two finalized sketches
+are byte-identical after serialization.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, IdRangeError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
-from .instance import CoverageInstance, Edge
+from .instance import MAX_ID, CoverageInstance, Edge, edge_blocks
 
 _MAGIC = b"CVSK"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIddQdIQ")
+_THRESHOLD_AT = struct.calcsize("<4sIIIddQ")   # header offset of the threshold
 _ELEM_HEAD = struct.Struct("<IQI")
 _U32 = struct.Struct("<I")
 
@@ -62,6 +67,8 @@ class SketchParams:
             raise ConfigError(f"delta2 must be >= 1, got {self.delta2}")
         if self.degree_cap < 1 or self.edge_budget < 1:
             raise ConfigError("degree_cap and edge_budget must be >= 1")
+        if self.n > MAX_ID + 1:
+            raise ConfigError(f"n must be <= 2^32 (set ids are 32-bit), got {self.n}")
 
     @staticmethod
     def _delta(eps: float, delta2: float, m_hint: int) -> float:
@@ -173,7 +180,7 @@ class Sketch:
     """Finalized sketch: retained elements in ascending (hash, id) order."""
 
     __slots__ = ("params", "seed", "elements", "threshold", "edge_total",
-                 "_system")
+                 "stats", "_system")
 
     def __init__(self, params: SketchParams, seed: int,
                  elements: tuple[SketchElement, ...], threshold: float,
@@ -183,6 +190,7 @@ class Sketch:
         self.elements = elements
         self.threshold = threshold
         self.edge_total = edge_total
+        self.stats: BuilderStats | None = None   # set by the streaming builder
         self._system = None
 
     @property
@@ -283,88 +291,201 @@ def build_sketch_offline(inst: CoverageInstance, params: SketchParams,
     return _finalize_items(params, seed, items)
 
 
-class StreamingSketchBuilder:
-    """Single-pass builder over (set_id, element_id) arrivals.
+@dataclass
+class BuilderStats:
+    """What a streaming build did with its arrivals.
 
-    Maintains at most edge_budget + degree_cap edges: when an arrival pushes
-    the count past that, whole elements are evicted in descending (hash, id)
-    order until it fits. An evicted element is never re-admitted (arrivals
-    hashing at or above the last eviction key are dropped on sight), and an
-    element whose incident list reached degree_cap accepts no further set
-    ids even after evictions make room; both rules keep the pass equivalent
-    to offline admission in hash order.
+    Every arrival counted in seen_edges is dropped on sight (its hash is at
+    or above the reject hash), dropped as a duplicate or by the degree cap,
+    or admitted; admitted edges leave again only with a whole evicted
+    element. finalize sets threshold, and budget_bound (the edge budget
+    bound, so the threshold is below 1).
     """
 
-    __slots__ = ("params", "seed", "_hasher", "_incident", "_hashes", "_heap",
-                 "_reject_key", "_total", "_seen_edges", "_finalized")
+    seen_edges: int = 0
+    dropped_on_sight: int = 0
+    dropped_duplicate_or_cap: int = 0
+    evicted_elements: int = 0
+    evicted_edges: int = 0
+    budget_bound: bool = False
+    threshold: float = 1.0
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+class StreamingSketchBuilder:
+    """Single-pass builder over (set_id, element_id) arrivals, a block at a time.
+
+    For each block it range-checks the ids, hashes the element ids once,
+    drops every arrival whose hash is at or above the reject hash (the hash
+    of the last evicted element; an evicted element is never re-admitted),
+    keeps the first degree_cap distinct set ids per element in arrival order
+    (an element whose list is full accepts no more, even after evictions
+    make room), and then evicts whole elements in descending hash order
+    until at most edge_budget + degree_cap edges remain. The final state
+    does not depend on where block boundaries fall, so the pass is
+    equivalent to offline admission in hash order. Memory: the retained
+    edges plus one block in flight.
+    """
+
+    __slots__ = ("params", "seed", "stats", "_hasher", "_hashes", "_elements",
+                 "_degrees", "_sets", "_reject", "_finalized")
 
     def __init__(self, params: SketchParams, seed: int):
         self.params = params
         self.seed = seed
+        self.stats = BuilderStats()
         self._hasher = ElementHasher(seed)
-        self._incident: dict[int, dict[int, None]] = {}
-        self._hashes: dict[int, int] = {}
-        self._heap: list[tuple[int, int]] = []   # (-hash, -element): max-heap
-        self._reject_key: tuple[int, int] | None = None
-        self._total = 0
-        self._seen_edges = 0
+        # Retained elements in ascending hash order, with their capped degree;
+        # their set ids element-major, ascending within each element.
+        self._hashes = np.empty(0, dtype=np.uint64)
+        self._elements = np.empty(0, dtype=np.int64)
+        self._degrees = np.empty(0, dtype=np.int64)
+        self._sets = np.empty(0, dtype=np.int64)
+        self._reject: np.uint64 | None = None
         self._finalized = False
 
     @property
     def retained_edge_count(self) -> int:
-        return self._total
+        return int(self._sets.size)
 
     @property
     def seen_edge_count(self) -> int:
-        return self._seen_edges
+        return self.stats.seen_edges
 
     def update(self, set_id: int, element_id: int) -> None:
-        if self._finalized:
-            raise StateError("update() after finalize()")
-        n = self.params.n
-        if not 0 <= set_id < n:
-            raise IdRangeError(f"set id {set_id} outside [0, {n})")
-        if element_id < 0:
-            raise IdRangeError(f"element id {element_id} is negative")
-        self._seen_edges += 1
-        sets = self._incident.get(element_id)
-        if sets is None:
-            hash_val = self._hasher.value(element_id)
-            if (self._reject_key is not None
-                    and (hash_val, element_id) >= self._reject_key):
-                return
-            self._incident[element_id] = {set_id: None}
-            self._hashes[element_id] = hash_val
-            heapq.heappush(self._heap, (-hash_val, -element_id))
-            self._total += 1
-        else:
-            if set_id in sets or len(sets) >= self.params.degree_cap:
-                return
-            sets[set_id] = None
-            self._total += 1
-        limit = self.params.edge_budget + self.params.degree_cap
-        while self._total > limit:
-            neg_hash, neg_elem = heapq.heappop(self._heap)
-            victim = -neg_elem
-            self._reject_key = (-neg_hash, victim)
-            self._total -= len(self._incident.pop(victim))
-            del self._hashes[victim]
+        """One arrival: a one-edge block."""
+        self.extend(((set_id, element_id),))
 
     def extend(self, edges: Iterable[Edge]) -> None:
-        for u, v in edges:
-            self.update(u, v)
+        """All arrivals of an edge iterable, or of a source's `blocks()`."""
+        for set_ids, element_ids in edge_blocks(edges):
+            self.update_block(set_ids, element_ids)
+
+    def update_block(self, set_ids, element_ids) -> None:
+        """Arrivals given as two equal-length integer arrays, in order."""
+        if self._finalized:
+            raise StateError("update() after finalize()")
+        u = np.asarray(set_ids, dtype=np.int64)
+        v = np.asarray(element_ids, dtype=np.int64)
+        if u.shape != v.shape or u.ndim != 1:
+            raise ValueError("a block is two 1-d arrays of equal length")
+        if not u.size:
+            return
+        self._check_ids(u, v)
+        self.stats.seen_edges += int(v.size)
+        h = self._hasher.values(v)
+        if self._reject is not None:
+            fresh = h < self._reject
+            self.stats.dropped_on_sight += int(v.size - np.count_nonzero(fresh))
+            u, v, h = u[fresh], v[fresh], h[fresh]
+        if h.size:
+            self._admit(u, v, h)
+            self._evict()
+
+    def _check_ids(self, u, v) -> None:
+        n = self.params.n
+        if u.min() >= 0 and u.max() < n and v.min() >= 0 and v.max() <= MAX_ID:
+            return
+        bad_set = (u < 0) | (u >= n)
+        i = int(np.argmax(bad_set | (v < 0) | (v > MAX_ID)))
+        if bad_set[i]:
+            raise IdRangeError(f"set id {u[i]} outside [0, {n})")
+        if v[i] < 0:
+            raise IdRangeError(f"element id {v[i]} is negative")
+        raise IdRangeError(f"element id {v[i]} exceeds the 32-bit range")
+
+    def _admit(self, u, v, h) -> None:
+        """Merge the first degree_cap distinct set ids per element into the state."""
+        n = self.params.n
+        order = np.argsort(h, kind="stable")    # by element, arrival order within
+        u, v, h = u[order], v[order], h[order]
+        first = np.empty(h.size, dtype=bool)
+        first[0] = True
+        np.not_equal(h[1:], h[:-1], out=first[1:])
+        group = np.cumsum(first) - 1            # element index within the block
+        group_hash = h[first]
+        slot = np.searchsorted(self._hashes, group_hash)
+        known = slot < self._hashes.size
+        known[known] = self._hashes[slot[known]] == group_hash[known]
+
+        # First arrival of each (element, set id) pair, not already retained.
+        key = group * n + u
+        keep = np.zeros(h.size, dtype=bool)
+        keep[np.unique(key, return_index=True)[1]] = True
+        starts = np.concatenate(([0], np.cumsum(self._degrees)))
+        state_key = None
+        if known.any():
+            owner = np.repeat(np.arange(self._degrees.size), self._degrees)
+            state_key = owner * n + self._sets
+            old = np.flatnonzero(known[group] & keep)
+            probe = slot[group[old]] * n + u[old]
+            at = np.minimum(np.searchsorted(state_key, probe), state_key.size - 1)
+            keep[old[state_key[at] == probe]] = False
+
+        # Of those, the ones within each element's remaining cap allowance.
+        kept = np.flatnonzero(keep)
+        g = group[kept]
+        run = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        rank = np.arange(g.size) - np.repeat(run, np.diff(np.append(run, g.size)))
+        have = np.zeros(group_hash.size, dtype=np.int64)
+        have[known] = self._degrees[slot[known]]
+        kept = kept[rank < self.params.degree_cap - have[g]]
+        self.stats.dropped_duplicate_or_cap += int(h.size - kept.size)
+
+        # Merge: each admitted set id goes to its (hash, set id) place.
+        kept = kept[np.argsort(key[kept], kind="stable")]
+        g, x = group[kept], u[kept]
+        where = starts[slot[g]]
+        mine = known[g]
+        if state_key is not None and mine.any():
+            where[mine] = np.searchsorted(state_key, slot[g[mine]] * n + x[mine])
+        added = np.bincount(g, minlength=group_hash.size)
+        self._degrees[slot[known]] += added[known]
+        new = ~known
+        self._hashes = np.insert(self._hashes, slot[new], group_hash[new])
+        self._elements = np.insert(self._elements, slot[new], v[first][new])
+        self._degrees = np.insert(self._degrees, slot[new], added[new])
+        self._sets = np.insert(self._sets, where, x)
+
+    def _evict(self) -> None:
+        limit = self.params.edge_budget + self.params.degree_cap
+        total = self._sets.size
+        if total <= limit:
+            return
+        ends = np.cumsum(self._degrees)
+        keep = int(np.searchsorted(ends, limit, side="right"))
+        kept_edges = int(ends[keep - 1]) if keep else 0
+        self._reject = self._hashes[keep]
+        self.stats.evicted_elements += int(self._hashes.size - keep)
+        self.stats.evicted_edges += int(total - kept_edges)
+        self._hashes = self._hashes[:keep].copy()
+        self._elements = self._elements[:keep].copy()
+        self._degrees = self._degrees[:keep].copy()
+        self._sets = self._sets[:kept_edges].copy()
 
     def finalize(self) -> Sketch:
         """Trim to the minimal hash-prefix meeting edge_budget and freeze."""
         if self._finalized:
             raise StateError("finalize() called twice")
         self._finalized = True
-        items = sorted((h, e, tuple(sorted(self._incident[e])))
-                       for e, h in self._hashes.items())
+        sets = self._sets.tolist()
+        ends = np.cumsum(self._degrees).tolist()
+        items = []
+        start = 0
+        for hash_val, elem, end in zip(self._hashes.tolist(),
+                                       self._elements.tolist(), ends):
+            items.append((hash_val, elem, tuple(sets[start:end])))
+            start = end
         sk = _finalize_items(self.params, self.seed, items)
-        self._incident = {}
-        self._hashes = {}
-        self._heap = []
+        self.stats.threshold = sk.threshold
+        self.stats.budget_bound = sk.threshold < 1.0
+        sk.stats = self.stats
+        self._hashes = self._hashes[:0]
+        self._elements = self._elements[:0]
+        self._degrees = self._degrees[:0]
+        self._sets = self._sets[:0]
         return sk
 
 
@@ -410,7 +531,10 @@ def load_sketch(stream: IO) -> Sketch:
     Budget parameters are re-derived from the stored (n, k, eps, delta2), so
     a sketch built with custom budgets loads with formula params; the stored
     structure (elements, hashes, threshold, edge total) is authoritative and
-    is all that estimation and solving consume.
+    is all that estimation and solving consume. A file that breaks a sketch
+    invariant raises ParseError: set ids must be strictly ascending and below
+    n, elements strictly ascending in (hash, id), and a threshold other than
+    1 must be the unit hash of the last element.
     """
     offset = 0
     head = _read_exact(stream, _HEADER.size, offset, "header")
@@ -426,16 +550,29 @@ def load_sketch(stream: IO) -> Sketch:
     total = 0
     for _ in range(count):
         rec = _read_exact(stream, _ELEM_HEAD.size, offset, "element record")
-        offset += _ELEM_HEAD.size
         elem, hash_val, degree = _ELEM_HEAD.unpack(rec)
+        if elements and (hash_val, elem) <= (elements[-1].hash, elements[-1].element):
+            raise ParseError(f"element {elem} out of ascending (hash, id) order",
+                             offset=offset)
+        offset += _ELEM_HEAD.size
         raw = _read_exact(stream, 4 * degree, offset, "set id list")
-        offset += 4 * degree
         sets = tuple(u[0] for u in _U32.iter_unpack(raw))
+        if any(a >= b for a, b in zip(sets, sets[1:])):
+            raise ParseError(f"set ids of element {elem} are not strictly "
+                             "ascending", offset=offset)
+        if sets and sets[-1] >= n:
+            raise ParseError(f"set id {sets[-1]} of element {elem} outside "
+                             f"[0, {n})", offset=offset)
+        offset += 4 * degree
         elements.append(SketchElement(elem, hash_val, sets))
         total += degree
     if total != edge_total:
         raise ParseError(f"edge total mismatch: header says {edge_total}, "
                          f"records hold {total}", offset=offset)
+    if threshold != 1.0 and not (
+            elements and threshold == unit_from_u64(elements[-1].hash)):
+        raise ParseError(f"threshold {threshold!r} is neither 1 nor the unit "
+                         "hash of the last element", offset=_THRESHOLD_AT)
     trailing = stream.read(1)
     if trailing:
         raise ParseError("trailing bytes after last element record", offset=offset)

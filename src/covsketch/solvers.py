@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import ConfigError, GuardExceededError, StateError
+import numpy as np
+
+from .errors import ConfigError, GuardExceededError, IdRangeError, StateError
 from .hashing import derive_seed
-from .instance import CoverageInstance, Edge
+from .instance import CoverageInstance, Edge, EdgeStream, edge_blocks
 from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
                      StreamingSketchBuilder, build_sketch_from_stream,
                      estimate_coverage)
@@ -239,6 +241,7 @@ def kcover_via_sketch(edges: Iterable[Edge], n: int, k: int, eps: float,
         "retained_elements": sk.element_count,
         "retained_edges": sk.edge_total,
         "threshold": sk.threshold,
+        "builder_stats": sk.stats.as_dict(),
     })
     return sol
 
@@ -419,9 +422,9 @@ def setcover_outliers(source, n: int, opts: OutlierParams, seed: int, *,
     last_sketch = None
     if mode == "fanout":
         builders = [StreamingSketchBuilder(cfg[2], cfg[4]) for cfg in configs]
-        for u, v in src():
+        for u, v in edge_blocks(src()):
             for b in builders:
-                b.update(u, v)
+                b.update_block(u, v)
         for cfg, b in zip(configs, builders):
             last_sketch = b.finalize()
             result = run_level(cfg, last_sketch)
@@ -498,52 +501,60 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     params = MultipassParams.derive(r=r, m=m, c=c)
     src = _as_source(source)
-    covered = bytearray(m)
+    covered = np.zeros(m, dtype=bool)
     chosen: list[int] = []
     chosen_seen: set[int] = set()
     iterations = []
     passes = 0
 
-    def residual_stream():
-        for u, v in src():
-            if not covered[v]:
-                yield (u, v)
+    def checked_blocks():
+        for u, v in edge_blocks(src()):
+            if u.size and (u.min() < 0 or u.max() >= n
+                           or v.min() < 0 or v.max() >= m):
+                i = int(np.argmax((u < 0) | (u >= n) | (v < 0) | (v >= m)))
+                if not 0 <= u[i] < n:
+                    raise IdRangeError(f"set id {u[i]} outside [0, {n})")
+                raise IdRangeError(f"element id {v[i]} outside [0, {m})")
+            yield u, v
+
+    def residual_blocks():
+        for u, v in checked_blocks():
+            keep = ~covered[v]
+            yield u[keep], v[keep]
 
     for i in range(1, r):
         opts = OutlierParams.derive(eps=eps, lam=params.lam,
                                     c=max(1.0, params.c_prime), n=n)
         passes += 1
-        sol_i = setcover_outliers(residual_stream, n, opts,
-                                  derive_seed(seed, i), mode="fanout")
-        picks = set(sol_i.chosen)
+        sol_i = setcover_outliers(lambda: EdgeStream(blocks=residual_blocks()),
+                                  n, opts, derive_seed(seed, i), mode="fanout")
+        picks = np.array(sorted(set(sol_i.chosen)), dtype=np.int64)
         passes += 1
-        uncovered_before = set()
-        newly = 0
-        for u, v in src():
-            if covered[v]:
-                continue
-            uncovered_before.add(v)
-            if u in picks:
-                covered[v] = 1
-                newly += 1
+        before = covered.copy()
+        uncovered = np.zeros(m, dtype=bool)
+        for u, v in checked_blocks():
+            fresh = ~before[v]
+            uncovered[v[fresh]] = True
+            covered[v[fresh & np.isin(u, picks)]] = True
         for u in sol_i.chosen:
             if u not in chosen_seen:
                 chosen_seen.add(u)
                 chosen.append(u)
+        uncovered_before = int(np.count_nonzero(uncovered))
+        newly = int(np.count_nonzero(covered & ~before))
         iterations.append({"k_prime": sol_i.meta.get("k_prime"),
                            "picked": len(sol_i.chosen),
-                           "uncovered_before": len(uncovered_before),
-                           "uncovered_after": len(uncovered_before) - newly,
+                           "uncovered_before": uncovered_before,
+                           "uncovered_after": uncovered_before - newly,
                            "newly_covered": newly})
 
     passes += 1
     leftover: dict[int, int] = {}
     masks = [0] * n
-    for u, v in src():
-        if covered[v]:
-            continue
-        pos = leftover.setdefault(v, len(leftover))
-        masks[u] |= 1 << pos
+    for u_block, v_block in residual_blocks():
+        for u, v in zip(u_block.tolist(), v_block.tolist()):
+            pos = leftover.setdefault(v, len(leftover))
+            masks[u] |= 1 << pos
     if leftover:
         tail = greedy_setcover(SetSystem(n=n, universe=len(leftover),
                                          masks=tuple(masks)))
@@ -553,10 +564,9 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
             if u not in chosen_seen:
                 chosen_seen.add(u)
                 chosen.append(u)
-        for v in leftover:
-            covered[v] = 1
+        covered[list(leftover)] = True
 
-    total_covered = sum(covered)
+    total_covered = int(np.count_nonzero(covered))
     sol = Solution(chosen=tuple(chosen), covered_on_target=total_covered,
                    gains=())
     sol.meta.update({"r": r, "lam": params.lam, "passes": passes,

@@ -151,6 +151,39 @@ def test_build_sketch_scans_shape_when_unknown(tmp_path, capsys):
     assert payload["passes"] == 2
 
 
+BUILDER_STATS_KEYS = {"seen_edges", "dropped_on_sight", "dropped_duplicate_or_cap",
+                      "evicted_elements", "evicted_edges", "budget_bound",
+                      "threshold"}
+
+
+def test_build_sketch_report_schema(tmp_path, capsys):
+    payload = run_json(capsys, "build-sketch", "--gen", "random:n=8,m=200,p=0.25",
+                       "--k", "3", "--seed", "2", "--out", str(tmp_path / "sk.bin"),
+                       "--degree-cap", "2", "--edge-budget", "50")
+    stats = payload["sketch_stats"]
+    assert set(stats) == {"degree_cap", "edge_budget", "p_star",
+                          "retained_elements", "retained_edges", "space_units",
+                          "input_edges", "bytes_written", "out", "builder"}
+    builder = stats["builder"]
+    assert set(builder) == BUILDER_STATS_KEYS
+    assert builder["seen_edges"] == stats["input_edges"]
+    assert builder["budget_bound"] is True
+    assert builder["threshold"] == stats["p_star"] < 1.0
+    assert builder["evicted_elements"] > 0
+    assert builder["dropped_duplicate_or_cap"] > 0
+
+
+def test_kcover_report_schema(capsys):
+    payload = run_json(capsys, "kcover", "--gen", "random:n=6,m=40,p=0.3",
+                       "--k", "2", "--seed", "5")
+    assert set(payload["sketch_stats"]) == {"builder"}
+    builder = payload["sketch_stats"]["builder"]
+    assert set(builder) == BUILDER_STATS_KEYS
+    assert builder["budget_bound"] is False and builder["threshold"] == 1.0
+    assert builder["evicted_edges"] == 0
+    assert "builder_stats" not in payload["solutions"][0]["params"]
+
+
 # ---------------------------------------------------------------------------
 # kcover
 
@@ -433,6 +466,17 @@ def test_exit_code_io_and_parse(tmp_path, capsys):
                        "--k", "1")
     assert code == 3
     assert "input error" in err
+
+
+def test_exit_code_element_id_beyond_32_bits(tmp_path, capsys, monkeypatch):
+    from covsketch import cli
+    from covsketch.harness import OnceEdgeSource
+    monkeypatch.setattr(cli, "_open_source", lambda args, seed: OnceEdgeSource(
+        [(0, 1), (1, 2 ** 32 + 5)], "stdin"))
+    code, _, err = run(capsys, "build-sketch", "--input", "-", "--n", "2",
+                       "--k", "1", "--out", str(tmp_path / "sk.bin"))
+    assert code == 3
+    assert "input error" in err and "32-bit" in err
 
 
 def test_exit_code_guard(capsys):

@@ -95,6 +95,23 @@ def test_file_edge_source_without_sidecar(tmp_path):
     assert list(src()) == [(0, 0), (1, 1)]
 
 
+def test_file_edge_source_streams_tuples_or_blocks(tmp_path):
+    from covsketch import write_edges_binary
+    inst = gen_random(5, 30, 0.4, seed=8)
+    path = tmp_path / "edges.bin"
+    with open(path, "wb") as fp:
+        write_edges_binary(fp, inst.edges_by_element())
+    src = FileEdgeSource(str(path), "binary")
+    edges = list(src())
+    assert edges == list(inst.edges_by_element())
+    blocks = list(src().blocks())
+    assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+    assert src.opens == 2
+    assert recount_coverage(src(), [1, 3]) == recount_coverage(edges, [1, 3])
+    assert scan_shape(src()) == scan_shape(edges)
+    assert src.opens == 4
+
+
 def test_once_edge_source_refuses_replay():
     src = OnceEdgeSource(iter([(0, 0), (1, 1)]), label="stdin")
     assert not src.replayable
@@ -118,6 +135,13 @@ def test_recount_coverage_matches_instance_oracle():
         covered, universe = recount_coverage(inst.edges_by_element(), chosen)
         assert covered == inst.coverage(chosen)
         assert universe == inst.m
+
+
+def test_recount_coverage_across_blocks():
+    from covsketch.instance import BLOCK_EDGES
+    edges = [(v % 4, v % 50_000) for v in range(BLOCK_EDGES * 2 + 10)]
+    covered = {v for u, v in edges if u in (1, 2)}
+    assert recount_coverage(edges, [1, 2]) == (len(covered), 50_000)
 
 
 def test_materialize_system_popcounts():

@@ -10,6 +10,7 @@ from covsketch import (CoverageInstance, brute_force_kcover, brute_force_setcove
                        load_edges, random_edge_stream, read_metadata,
                        write_edges_binary, write_edges_text, write_metadata)
 from covsketch.errors import (IdRangeError, IsolatedElementError, ParseError)
+from covsketch.instance import BLOCK_EDGES, edge_blocks, load_edge_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,59 @@ def test_binary_write_rejects_oversized_ids():
 
 def test_binary_empty_stream():
     assert list(load_edges(io.BytesIO(b""), format="binary")) == []
+
+
+def _binary(edges):
+    buf = io.BytesIO()
+    write_edges_binary(buf, edges)
+    return buf.getvalue()
+
+
+def test_binary_blocks_are_bounded_and_flatten_to_load_edges():
+    edges = [(e % 7, e) for e in range(2 * BLOCK_EDGES + 3)]
+    blocks = list(load_edge_blocks(io.BytesIO(_binary(edges)), "binary"))
+    assert [u.size for u, _ in blocks] == [BLOCK_EDGES, BLOCK_EDGES, 3]
+    assert all(u.dtype == v.dtype == "int64" for u, v in blocks)
+    assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+    assert list(load_edges(io.BytesIO(_binary(edges)), "binary")) == edges
+
+
+class _Trickle(io.BytesIO):
+    """A pipe-like stream: each read returns at most 5 bytes."""
+
+    def read(self, size=-1):
+        return super().read(5 if size < 0 else min(size, 5))
+
+
+def test_binary_blocks_survive_short_reads():
+    edges = [(1, 2), (3, 4), (2**32 - 1, 0)]
+    assert list(load_edges(_Trickle(_binary(edges)), "binary")) == edges
+
+
+def test_binary_truncation_offset_after_full_blocks():
+    edges = [(0, e) for e in range(BLOCK_EDGES + 1)]
+    stream = io.BytesIO(_binary(edges) + b"\x01\x02\x03")
+    blocks = load_edge_blocks(stream, "binary")
+    assert next(blocks)[0].size == BLOCK_EDGES
+    assert next(blocks)[0].size == 1
+    with pytest.raises(ParseError, match="3 trailing") as err:
+        next(blocks)
+    assert err.value.offset == 8 * (BLOCK_EDGES + 1)
+
+
+def test_text_blocks_keep_line_numbers_in_errors():
+    text = "0 1\n" * (BLOCK_EDGES + 5) + "# note\n2 x\n"
+    with pytest.raises(ParseError) as err:
+        list(load_edge_blocks(io.StringIO(text), "text"))
+    assert err.value.line == BLOCK_EDGES + 7 and err.value.offset == 2
+
+
+def test_edge_blocks_batch_tuples_and_reject_huge_ids():
+    edges = [(1, e) for e in range(BLOCK_EDGES + 2)]
+    assert [u.size for u, _ in edge_blocks(edges)] == [BLOCK_EDGES, 2]
+    assert list(edge_blocks([])) == []
+    with pytest.raises(IdRangeError):
+        list(edge_blocks([(0, 2**70)]))
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,51 @@ def test_streaming_counts_and_lifecycle():
         builder.finalize()
 
 
+def test_streaming_rejects_element_ids_beyond_32_bits():
+    builder = StreamingSketchBuilder(_cap_nonbinding(3, 100), seed=0)
+    with pytest.raises(IdRangeError, match="32-bit"):
+        builder.update(0, 2 ** 32 + 5)
+    with pytest.raises(IdRangeError):
+        builder.update(0, 2 ** 64 + 1)
+    with pytest.raises(IdRangeError):
+        builder.extend([(0, 1), (1, 2 ** 32)])
+    builder.update(0, 2 ** 32 - 1)
+    sk = builder.finalize()
+    assert sk.element_ids() == (2 ** 32 - 1,)
+    buf = io.BytesIO()
+    save_sketch(sk, buf)
+    buf.seek(0)
+    assert load_sketch(buf) == sk
+
+
+def test_builder_stats_account_for_every_arrival():
+    inst = gen_random(10, 400, 0.4, seed=3)
+    edges = list(inst.edges_by_element()) * 2            # every edge twice
+    params = SketchParams.custom(n=10, k=2, eps=0.2, degree_cap=3,
+                                 edge_budget=150)
+    builder = StreamingSketchBuilder(params, seed=4)
+    builder.extend(edges)
+    stats = builder.stats
+    assert stats.seen_edges == builder.seen_edge_count == len(edges)
+    admitted = (stats.seen_edges - stats.dropped_on_sight
+                - stats.dropped_duplicate_or_cap)
+    assert admitted - stats.evicted_edges == builder.retained_edge_count
+    assert stats.evicted_elements > 0 and stats.dropped_duplicate_or_cap > 0
+    sk = builder.finalize()
+    assert sk.stats is stats
+    assert stats.budget_bound and stats.threshold == sk.threshold < 1.0
+    assert set(stats.as_dict()) == {
+        "seen_edges", "dropped_on_sight", "dropped_duplicate_or_cap",
+        "evicted_elements", "evicted_edges", "budget_bound", "threshold"}
+
+    full = StreamingSketchBuilder(_cap_nonbinding(10, 10 ** 6), seed=4)
+    full.extend(edges)
+    sk = full.finalize()
+    assert sk.full_retention
+    assert full.stats.budget_bound is False and full.stats.threshold == 1.0
+    assert full.stats.evicted_edges == 0 and full.stats.dropped_on_sight == 0
+
+
 def test_streaming_empty_stream():
     sk = build_sketch_from_stream([], _cap_nonbinding(4, 10), seed=0)
     assert sk.element_count == 0
@@ -358,6 +403,57 @@ def test_load_rejects_corruption():
     struct.pack_into("<Q", head, total_off, stored + 1)
     with pytest.raises(ParseError):
         load_sketch(io.BytesIO(bytes(head) + blob[len(head):]))
+
+
+def _craft(n, seed, threshold, records):
+    """Sketch bytes from raw (element, hash, set ids) records."""
+    import struct
+    total = sum(len(sets) for _, _, sets in records)
+    out = struct.pack("<4sIIIddQdIQ", b"CVSK", 1, n, 1, 0.2, 1.0, seed,
+                      threshold, len(records), total)
+    for elem, hash_val, sets in records:
+        out += struct.pack("<IQI", elem, hash_val, len(sets))
+        out += b"".join(struct.pack("<I", u) for u in sets)
+    return out
+
+
+def test_load_accepts_crafted_valid_sketch():
+    h = ElementHasher(3)
+    (h0, e0), (h1, e1) = sorted((h.value(e), e) for e in (4, 9))
+    for threshold in (1.0, unit_from_u64(h1)):
+        sk = load_sketch(io.BytesIO(_craft(2, 3, threshold,
+                                           [(e0, h0, (0, 1)), (e1, h1, (1,))])))
+        assert sk.element_ids() == (e0, e1) and sk.edge_total == 3
+
+
+def test_load_rejects_set_id_outside_n():
+    blob = _craft(2, 3, 1.0, [(5, 10, (0, 99))])
+    with pytest.raises(ParseError, match="outside"):
+        load_sketch(io.BytesIO(blob))
+
+
+def test_load_rejects_unsorted_or_duplicate_set_ids():
+    for sets in ((1, 0), (1, 1)):
+        with pytest.raises(ParseError, match="ascending"):
+            load_sketch(io.BytesIO(_craft(2, 3, 1.0, [(5, 10, sets)])))
+
+
+def test_load_rejects_elements_out_of_hash_order():
+    for records in ([(5, 20, (0,)), (6, 10, (1,))],      # hashes descend
+                    [(6, 10, (0,)), (5, 10, (1,))],      # tie, ids descend
+                    [(5, 10, (0,)), (5, 10, (1,))]):     # repeated element
+        with pytest.raises(ParseError, match="order"):
+            load_sketch(io.BytesIO(_craft(2, 3, 1.0, records)))
+
+
+def test_load_rejects_threshold_off_the_last_hash():
+    records = [(5, 2 ** 60, (0,)), (6, 2 ** 62, (1,))]
+    assert load_sketch(io.BytesIO(_craft(2, 3, 0.25, records))).threshold == 0.25
+    for threshold in (0.5, 0.0625, 1.5):
+        with pytest.raises(ParseError, match="threshold"):
+            load_sketch(io.BytesIO(_craft(2, 3, threshold, records)))
+    with pytest.raises(ParseError, match="threshold"):
+        load_sketch(io.BytesIO(_craft(2, 3, 0.5, [])))
 
 
 def test_load_empty_stream():

@@ -14,7 +14,8 @@ from covsketch import (BRUTE_FORCE_GUARD, MultipassParams, OutlierParams,
                        probe_params, probe_on_sketch, sample_subgraph,
                        setcover_multipass, setcover_outliers, setcover_probe,
                        threshold_greedy)
-from covsketch.errors import ConfigError, GuardExceededError, StateError
+from covsketch.errors import (ConfigError, GuardExceededError, IdRangeError,
+                              StateError)
 from covsketch.instance import CoverageInstance
 
 
@@ -474,6 +475,18 @@ def test_multipass_domain_errors():
         setcover_multipass(edges, 1, 1, 1, 1.5, seed=0)
     with pytest.raises(ConfigError):
         setcover_multipass(edges, 1, 50, 2, 0.3, seed=0)
+
+
+def test_multipass_rejects_ids_outside_the_universe():
+    with pytest.raises(IdRangeError, match="element id 700"):
+        setcover_multipass([(0, 0), (1, 700)], n=2, m=400, r=1, eps=0.3, seed=0)
+    with pytest.raises(IdRangeError, match="element id -1"):
+        setcover_multipass([(0, 0), (1, -1)], n=2, m=400, r=1, eps=0.3, seed=0)
+    with pytest.raises(IdRangeError, match="set id 2"):
+        setcover_multipass([(0, 0), (2, 1)], n=2, m=400, r=1, eps=0.3, seed=0)
+    edges = [(u, v) for v in range(400) for u in (v % 3, 3)] + [(0, 400)]
+    with pytest.raises(IdRangeError, match="element id 400"):
+        setcover_multipass(edges, n=4, m=400, r=2, eps=0.3, seed=0)
 
 
 # ---------------------------------------------------------------------------

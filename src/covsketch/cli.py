@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .distinct import build_per_set_sketches, kcover_via_l0
 from .errors import (ConfigError, CovsketchError, GuardExceededError,
@@ -23,11 +22,12 @@ from .hardness import PlantedGoldInstance, query_counter_demo, verify_oracle_val
 from .harness import (EVAL_CSV_HEADER, SEED_BUILDER, SEED_DEMO, SEED_GENERATOR,
                       SEED_GOLD, SEED_L0, SEED_REPEAT_BASE, SEED_VALIDITY,
                       FileEdgeSource, GenEdgeSource, OnceEdgeSource, PhaseTimer,
-                      RunReport, emit_report, materialize_system, parse_gen_spec,
-                      recount_coverage, scan_shape, solution_json)
+                      RunReport, emit_report, parse_gen_spec, recount_coverage,
+                      scan_shape, solution_json)
 from .hashing import derive_seed
 from .instance import (EdgeStream, load_edge_blocks, load_edges,
-                       write_edges_binary, write_edges_text, write_metadata)
+                       materialize_system, write_edges_binary,
+                       write_edges_text, write_metadata)
 from .sketch import SketchParams, StreamingSketchBuilder, save_sketch
 from .solvers import (OutlierParams, brute_force_kcover, brute_force_setcover,
                       greedy_kcover, kcover_via_sketch, setcover_multipass,
@@ -257,7 +257,8 @@ def cmd_setcover_multipass(args) -> int:
 
 
 def _eval_source_factory(args, master_seed):
-    """Per-repeat source builder so parallel repeats never share state."""
+    """Per-repeat source builder: a generator spec draws each repeat's
+    instance from that repeat's seed."""
     if (args.input is None) == (args.gen is None):
         raise ConfigError("exactly one of --input or --gen is required")
     if args.gen is not None:
@@ -289,13 +290,6 @@ def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
     label = src.label
     system = materialize_system(src(), n)
     system_edges = sum(mask.bit_count() for mask in system.masks)
-
-    def recount(chosen):
-        mask = 0
-        for s in chosen:
-            mask |= system.masks[s]
-        return mask.bit_count()
-
     rows = []
 
     def add_row(algo, coverage, opt, space, millis):
@@ -321,7 +315,7 @@ def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
         sol = kcover_via_sketch(src(), n, k, args.eps,
                                 derive_seed(repeat_master, SEED_BUILDER),
                                 m_hint=m)
-        sketch_cov = recount(sol.chosen)
+        sketch_cov = system.coverage(sol.chosen)
         sketch_space = (sol.meta["retained_elements"]
                         + sol.meta["retained_edges"])
     add_row("sketch_greedy", sketch_cov, opt_value, sketch_space,
@@ -338,7 +332,7 @@ def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
                                       reps=reps)
         try:
             l0_sol = kcover_via_l0(bank, k)
-            l0_cov = recount(l0_sol.chosen)
+            l0_cov = system.coverage(l0_sol.chosen)
             l0_space = l0_sol.meta["space_units"]
         except GuardExceededError:
             l0_cov = "skipped"
@@ -362,12 +356,7 @@ def cmd_eval(args) -> int:
     make_source = _eval_source_factory(args, args.seed)
     masters = [derive_seed(args.seed, SEED_REPEAT_BASE + i)
                for i in range(args.repeat)]
-    if args.parallel and args.repeat > 1:
-        with ThreadPoolExecutor(max_workers=min(8, args.repeat)) as pool:
-            blocks = list(pool.map(
-                lambda ms: _eval_one_repeat(make_source, args, ms), masters))
-    else:
-        blocks = [_eval_one_repeat(make_source, args, ms) for ms in masters]
+    blocks = [_eval_one_repeat(make_source, args, ms) for ms in masters]
     out_fp = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fp)
@@ -486,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--repeat", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="CSV path (default stdout)")
-    sp.add_argument("--parallel", action="store_true",
-                    help="run repeats concurrently (same output order)")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("hardness-demo",

@@ -103,14 +103,17 @@ class DistinctSketch:
                 f"cannot merge (capacity={self.capacity}, seed={self.seed}, "
                 f"reps={self.reps}) with (capacity={other.capacity}, "
                 f"seed={other.seed}, reps={other.reps})")
-        out = DistinctSketch(self.capacity, self.seed, self.reps)
-        for rep in range(self.reps):
-            a, b = self.mins[rep], other.mins[rep]
+        # The merge shares this sketch's hashers: same (seed, reps), same maps.
+        out = object.__new__(DistinctSketch)
+        out.capacity, out.seed, out.reps = self.capacity, self.seed, self.reps
+        out._hashers = self._hashers
+        out.mins = []
+        for a, b in zip(self.mins, other.mins):
             merged = sorted(set(a).union(b))[:self.capacity]
             if len(a) < self.capacity and len(b) < self.capacity:
                 # exact regime: union estimate dominates both components
                 assert len(merged) >= max(len(a), len(b))
-            out.mins[rep] = merged
+            out.mins.append(merged)
         return out
 
     @property

@@ -21,8 +21,8 @@ from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
 from .instance import (Edge, EdgeStream, edge_blocks, gen_disjointness,
                        gen_planted_cover, load_edge_blocks, load_edges,
-                       random_edge_stream, read_metadata)
-from .solvers import SetSystem, Solution
+                       random_edge_blocks, read_metadata)
+from .solvers import Solution
 
 SEED_GENERATOR = 1
 SEED_BUILDER = 2
@@ -116,8 +116,8 @@ class GenEdgeSource(EdgeSourceBase):
         if self._inst is not None:
             return EdgeStream(edges=self._inst.edges_by_element())
         spec = self.spec
-        return EdgeStream(edges=random_edge_stream(spec["n"], spec["m"],
-                                                   spec["p"], self.seed))
+        return EdgeStream(blocks=random_edge_blocks(spec["n"], spec["m"],
+                                                    spec["p"], self.seed))
 
     def shape(self):
         return (self.spec["n"], self.spec["m"])
@@ -225,18 +225,6 @@ def _union(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(merged[1:], merged[:-1], out=keep[1:])
     return merged[keep]
-
-
-def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
-    """Compact the stream's distinct elements into bitmask positions."""
-    position: dict[int, int] = {}
-    masks = [0] * n
-    for u, v in edges:
-        if not 0 <= u < n:
-            raise ConfigError(f"set id {u} outside [0, {n}) during materialization")
-        pos = position.setdefault(v, len(position))
-        masks[u] |= 1 << pos
-    return SetSystem(n=n, universe=len(position), masks=tuple(masks))
 
 
 class PhaseTimer:

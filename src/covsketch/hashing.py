@@ -70,10 +70,6 @@ class ElementHasher:
         """
         return self.value(element) * _INV_2_64
 
-    def key(self, element: int) -> tuple[int, int]:
-        """Total-order key (hash value, element id) used for all comparisons."""
-        return (self.value(element), element)
-
 
 def unit_from_u64(value: int) -> float:
     return value * _INV_2_64

@@ -7,6 +7,10 @@ as blocks, pairs of int64 arrays (set ids, element ids) of at most
 BLOCK_EDGES rows. Every element of a constructed instance belongs to at
 least one set: isolated elements are either attached to a uniformly random
 set (when an attachment seed is supplied) or rejected.
+
+Incidence has one representation, `SetSystem` (per-set bitmasks): instances
+store only their masks, and sketches, views and materialized streams adapt
+to it. `SetSystem.from_incidence` is the only code that sets mask bits.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import struct
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -27,25 +32,68 @@ MAX_ID = 2**32 - 1
 BLOCK_EDGES = 65_536
 
 _BIN_EDGE = struct.Struct("<II")
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class SetSystem:
+    """n sets as bitmasks over a universe of `universe` bit positions.
+
+    Bit `pos` of masks[u] is set iff set u holds the element at position pos
+    (an element id, or a retained or distinct element's index).
+    """
+
+    n: int
+    universe: int
+    masks: tuple[int, ...]
+
+    @classmethod
+    def from_incidence(cls, n: int, universe: int,
+                       incidence: Iterable[tuple[int, Iterable[int]]]
+                       ) -> "SetSystem":
+        """Masks from (position, set ids) pairs; repeats OR together.
+
+        Ids are Python ints (a numpy scalar would overflow the shift); one
+        outside [0, universe) or [0, n) raises IdRangeError.
+        """
+        masks = [0] * n
+        for pos, set_ids in incidence:
+            if not 0 <= pos < universe:
+                raise IdRangeError(f"element id {pos} outside [0, {universe})")
+            bit = 1 << pos
+            for u in set_ids:
+                if not 0 <= u < n:
+                    raise IdRangeError(f"set id {u} outside [0, {n})")
+                masks[u] |= bit
+        return cls(n, universe, tuple(masks))
+
+    def coverage(self, chosen: Iterable[int]) -> int:
+        """Exact number of positions covered by the union of the chosen sets."""
+        mask = 0
+        for u in chosen:
+            if not 0 <= u < self.n:
+                raise IdRangeError(f"set id {u} outside [0, {self.n})")
+            mask |= self.masks[u]
+        return mask.bit_count()
 
 
 class CoverageInstance:
-    """Immutable set system with duplicate-free, sorted adjacency.
+    """Immutable set system over elements 0..m-1, stored as n bitmasks.
 
-    Per-set element bitmasks make coverage of a family of sets a popcount
-    over an OR of ints, which keeps the exact oracles and greedy solvers fast
-    at the scales the brute-force guards allow.
+    Bit e of masks[u] is set iff element e belongs to set u. The sorted
+    adjacency views `sets` and `elements` are decoded from the masks on
+    first access and cached.
     """
 
-    __slots__ = ("n", "m", "sets", "elements", "masks", "edge_count")
+    __slots__ = ("n", "m", "masks", "edge_count", "_sets", "_elements")
 
-    def __init__(self, n, m, sets, elements, masks, edge_count):
+    def __init__(self, n: int, m: int, masks: tuple[int, ...]):
         self.n = n
         self.m = m
-        self.sets = sets          # tuple of n tuples of element ids, sorted
-        self.elements = elements  # tuple of m tuples of set ids, sorted
-        self.masks = masks        # tuple of n ints, bit e set iff element e in set
-        self.edge_count = edge_count
+        self.masks = masks
+        self.edge_count = sum(map(int.bit_count, masks))
+        self._sets = None
+        self._elements = None
 
     @classmethod
     def from_edges(cls, n: int, m: int, edges: Iterable[Edge], *,
@@ -53,55 +101,55 @@ class CoverageInstance:
         """Build an instance from an edge stream.
 
         Duplicate edges collapse silently. Elements in [0, m) that never
-        appear are attached to one uniformly chosen set each when
-        `attach_isolated_seed` is given, otherwise construction fails.
+        appear are attached to one uniformly chosen set each, drawn in
+        ascending element order, when `attach_isolated_seed` is given;
+        otherwise construction fails.
         """
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
-        by_set = [set() for _ in range(n)]
-        seen = bytearray(m)
-        for u, v in edges:
-            if not 0 <= u < n:
-                raise IdRangeError(f"set id {u} outside [0, {n})")
-            if not 0 <= v < m:
-                raise IdRangeError(f"element id {v} outside [0, {m})")
-            by_set[u].add(v)
-            seen[v] = 1
-        isolated = [e for e in range(m) if not seen[e]]
-        if isolated:
-            if attach_isolated_seed is None:
-                raise IsolatedElementError(
-                    f"{len(isolated)} isolated element(s), first={isolated[0]}; "
-                    "pass attach_isolated_seed to attach them")
-            rng = np.random.default_rng(attach_isolated_seed)
-            for e in isolated:
-                by_set[int(rng.integers(n))].add(e)
-        return cls._finish(n, m, by_set)
+        inst = cls(n, m, SetSystem.from_incidence(
+            n, m, ((v, (u,)) for u, v in edges)).masks)
+        if inst.coverage(range(n)) == m:
+            return inst
+        if attach_isolated_seed is None:
+            isolated = [e for e, owners in enumerate(inst.elements) if not owners]
+            raise IsolatedElementError(
+                f"{len(isolated)} isolated element(s), first={isolated[0]}; "
+                "pass attach_isolated_seed to attach them")
+        rng = np.random.default_rng(attach_isolated_seed)
+        owners = [sets or (int(rng.integers(n)),) for sets in inst.elements]
+        return cls(n, m, SetSystem.from_incidence(n, m, enumerate(owners)).masks)
 
-    @classmethod
-    def _finish(cls, n, m, by_set):
-        sets = tuple(tuple(sorted(s)) for s in by_set)
-        rev = [[] for _ in range(m)]
-        masks = []
-        count = 0
-        for u, members in enumerate(sets):
-            mask = 0
-            for v in members:
-                rev[v].append(u)
-                mask |= 1 << v
-            masks.append(mask)
-            count += len(members)
-        elements = tuple(tuple(r) for r in rev)
-        return cls(n, m, sets, elements, tuple(masks), count)
+    @property
+    def system(self) -> SetSystem:
+        """The instance as a SetSystem: positions are element ids."""
+        return SetSystem(self.n, self.m, self.masks)
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """Element ids of each set, ascending."""
+        if self._sets is None:
+            self._sets = _rows(self._bits())
+        return self._sets
+
+    @property
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        """Set ids of each element, ascending."""
+        if self._elements is None:
+            self._elements = _rows(self._bits().T)
+        return self._elements
+
+    def _bits(self) -> np.ndarray:
+        """The masks as an n x m 0/1 matrix."""
+        width = (self.m + 7) // 8
+        raw = b"".join(mask.to_bytes(width, "little") for mask in self.masks)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                             bitorder="little")
+        return bits.reshape(self.n, 8 * width)[:, :self.m]
 
     def coverage(self, chosen: Iterable[int]) -> int:
         """Exact number of elements covered by the union of the chosen sets."""
-        mask = 0
-        for u in chosen:
-            if not 0 <= u < self.n:
-                raise IdRangeError(f"set id {u} outside [0, {self.n})")
-            mask |= self.masks[u]
-        return mask.bit_count()
+        return self.system.coverage(chosen)
 
     def degree(self, element: int) -> int:
         return len(self.elements[element])
@@ -116,19 +164,21 @@ class CoverageInstance:
             for u in owners:
                 yield (u, v)
 
-    def metadata(self) -> dict:
-        return {"n": self.n, "m": self.m, "edge_count": self.edge_count}
-
     def __eq__(self, other):
         if not isinstance(other, CoverageInstance):
             return NotImplemented
-        return (self.n, self.m, self.sets) == (other.n, other.m, other.sets)
+        return (self.n, self.m, self.masks) == (other.n, other.m, other.masks)
 
     def __hash__(self):
         return hash((self.n, self.m, self.sets))
 
     def __repr__(self):
         return f"CoverageInstance(n={self.n}, m={self.m}, edges={self.edge_count})"
+
+
+def _rows(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Column indices of the nonzero entries of each row, ascending."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in bits)
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +321,40 @@ class EdgeStream:
         return edge_blocks(self._edges)
 
 
+def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
+    """The stream as a SetSystem over its distinct elements, in one pass.
+
+    Positions are the element ids' ranks, ascending. A set id outside
+    [0, n) raises IdRangeError.
+    """
+    blocks = list(edge_blocks(edges))
+    u = np.concatenate([b[0] for b in blocks]) if blocks else _NO_IDS
+    v = np.concatenate([b[1] for b in blocks]) if blocks else _NO_IDS
+    elements, positions = np.unique(v, return_inverse=True)
+    return SetSystem.from_incidence(
+        n, elements.size,
+        ((pos, (s,)) for s, pos in zip(u.tolist(), positions.tolist())))
+
+
 def write_edges_text(stream: IO, edges: Iterable[Edge]) -> int:
+    """Write 'set_id element_id' lines a block at a time; returns the count."""
     count = 0
-    for u, v in edges:
-        stream.write(f"{u} {v}\n")
-        count += 1
+    for u, v in edge_blocks(edges):
+        stream.write("".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist())))
+        count += int(u.size)
     return count
 
 
 def write_edges_binary(stream: IO, edges: Iterable[Edge]) -> int:
+    """Write little-endian u32 pairs a block at a time; returns the count."""
     count = 0
-    for u, v in edges:
-        if u > MAX_ID or v > MAX_ID:
-            raise IdRangeError(f"edge ({u}, {v}) exceeds 32-bit id range")
-        stream.write(_BIN_EDGE.pack(u, v))
-        count += 1
+    for u, v in edge_blocks(edges):
+        bad = (u < 0) | (u > MAX_ID) | (v < 0) | (v > MAX_ID)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IdRangeError(f"edge ({u[i]}, {v[i]}) outside the 32-bit id range")
+        stream.write(np.column_stack((u, v)).astype("<u4").tobytes())
+        count += int(u.size)
     return count
 
 
@@ -304,46 +373,65 @@ def read_metadata(path) -> dict:
     return meta
 
 
-def compact_ids(edges: Iterable[Edge]):
-    """Remap sparse ids to dense 0-based ranges, preserving first-seen order.
-
-    Returns (edge list, n, m, set_id map, element_id map); the maps go from
-    original to compact ids.
-    """
-    set_map: dict[int, int] = {}
-    elem_map: dict[int, int] = {}
-    out = []
-    for u, v in edges:
-        cu = set_map.setdefault(u, len(set_map))
-        cv = elem_map.setdefault(v, len(elem_map))
-        out.append((cu, cv))
-    return out, len(set_map), len(elem_map), set_map, elem_map
-
-
 # ---------------------------------------------------------------------------
 # Generators
 
 
-def random_edge_stream(n: int, m: int, p_e: float, seed: int) -> Iterator[Edge]:
+def random_edge_blocks(n: int, m: int, p_e: float, seed: int
+                       ) -> Iterator[EdgeBlock]:
     """Element-major Bernoulli(p_e) edge stream over an n x m bipartite graph.
 
     Each (set, element) pair appears independently with probability p_e; an
     element drawing no set at all is attached to one uniform set inline, so
     the stream can be consumed without materializing the instance and still
-    induces no isolated elements.
+    induces no isolated elements. Draws come in element order (a row of n
+    uniforms, then a set for an empty row), so the stream depends only on
+    the seed. Blocks hold BLOCK_EDGES edges, the last one fewer.
     """
     if not 0.0 < p_e <= 1.0:
         raise ValueError(f"p_e must lie in (0, 1], got {p_e}")
     if n < 1 or m < 1:
         raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
     rng = np.random.default_rng(seed)
-    for elem in range(m):
-        hits = np.flatnonzero(rng.random(n) < p_e)
-        if hits.size == 0:
-            yield (int(rng.integers(n)), elem)
+    most = max(1, BLOCK_EDGES // n)     # rows per draw
+    rows, elem, start = most, 0, 0
+    parts, sets, elems = [], _NO_IDS, _NO_IDS
+    while elem < m:
+        count = min(rows, m - elem)
+        state = rng.bit_generator.state if count > 1 else None
+        hits = rng.random((count, n)) < p_e
+        filled = hits.any(axis=1)
+        first = int(filled.argmin())
+        if filled[first]:
+            rows = min(most, 2 * count)
         else:
-            for u in hits:
-                yield (int(u), elem)
+            # The empty row's set draw must follow that row's uniforms, so
+            # rewind and redraw only up to it. The next draw takes as many
+            # rows as this one used, which keeps rewinds rare at any p_e.
+            if first + 1 < count:
+                rng.bit_generator.state = state
+                rng.random((first + 1, n))
+            count = rows = first + 1
+            hits[first, rng.integers(n)] = True
+        parts.append(hits[:count])
+        elem += count
+        # Decode about 16 blocks' worth of cells at once, so that sparse
+        # rows still fill whole blocks; the remainder carries over.
+        if (elem - start) * n >= 16 * BLOCK_EDGES or elem == m:
+            e, s = np.nonzero(np.concatenate(parts))
+            sets = np.concatenate((sets, s))
+            elems = np.concatenate((elems, e + start))
+            full = sets.size if elem == m else sets.size - sets.size % BLOCK_EDGES
+            for i in range(0, full, BLOCK_EDGES):
+                yield sets[i:i + BLOCK_EDGES], elems[i:i + BLOCK_EDGES]
+            sets, elems = sets[full:], elems[full:]
+            parts, start = [], elem
+
+
+def random_edge_stream(n: int, m: int, p_e: float, seed: int) -> Iterator[Edge]:
+    """`random_edge_blocks`, one (set_id, element_id) edge at a time."""
+    for u, v in random_edge_blocks(n, m, p_e, seed):
+        yield from zip(u.tolist(), v.tolist())
 
 
 def gen_random(n: int, m: int, p_e: float, seed: int) -> CoverageInstance:
@@ -376,9 +464,8 @@ def gen_planted_cover(n: int, m: int, k_star: int, seed: int):
     bounds = [0] + cuts + [m]
     blocks = [perm[bounds[i]:bounds[i + 1]] for i in range(k_star)]
 
-    by_set = [set() for _ in range(n)]
-    for pid, block in zip(planted, blocks):
-        by_set[pid].update(block)
+    incidence = [(e, (pid,)) for pid, block in zip(planted, blocks)
+                 for e in block]
     planted_set = set(planted)
     for u in range(n):
         if u in planted_set:
@@ -388,8 +475,8 @@ def gen_planted_cover(n: int, m: int, k_star: int, seed: int):
         sub = [e for e in block if rng.random() < keep_p]
         if len(sub) == len(block) and sub:
             sub.pop(int(rng.integers(len(sub))))
-        by_set[u].update(sub)
-    inst = CoverageInstance._finish(n, m, by_set)
+        incidence += [(e, (u,)) for e in sub]
+    inst = CoverageInstance(n, m, SetSystem.from_incidence(n, m, incidence).masks)
     return inst, tuple(planted)
 
 

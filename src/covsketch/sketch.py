@@ -14,6 +14,10 @@ edge_budget + degree_cap edges remain. The streaming builder therefore holds
 edge_budget + degree_cap retained edges plus one block in flight. Under one
 (seed, params) pair and a cap that never binds, the two finalized sketches
 are byte-identical after serialization.
+
+A sketch is itself a small coverage instance: `Sketch.system` (likewise
+`SubgraphView.system`) is a `SetSystem` with one position per retained
+element in stored order, so any solver runs on it unchanged.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, IdRangeError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
-from .instance import MAX_ID, CoverageInstance, Edge, edge_blocks
+from .instance import MAX_ID, CoverageInstance, Edge, SetSystem, edge_blocks
 
 _MAGIC = b"CVSK"
 _VERSION = 1
@@ -139,13 +144,16 @@ class SubgraphView:
     def degree(self, element: int) -> int:
         return len(self.incident[element])
 
+    @cached_property
+    def system(self) -> SetSystem:
+        """The kept elements as a SetSystem, positions in `elements` order."""
+        return SetSystem.from_incidence(
+            self.n, len(self.elements),
+            enumerate(self.incident[e] for e in self.elements))
+
     def covered_count(self, chosen: Iterable[int]) -> int:
-        picked = set(chosen)
-        total = 0
-        for e in self.elements:
-            if picked.intersection(self.incident[e]):
-                total += 1
-        return total
+        """Number of kept elements hit by the chosen sets."""
+        return self.system.coverage(chosen)
 
 
 def sample_subgraph(inst: CoverageInstance, p: float, seed: int) -> SubgraphView:
@@ -209,17 +217,18 @@ class Sketch:
     def element_ids(self) -> tuple[int, ...]:
         return tuple(item.element for item in self.elements)
 
+    @property
+    def system(self) -> SetSystem:
+        """The retained elements as a SetSystem, positions in stored order."""
+        if self._system is None:
+            self._system = SetSystem.from_incidence(
+                self.params.n, len(self.elements),
+                enumerate(item.sets for item in self.elements))
+        return self._system
+
     def covered_retained(self, chosen: Iterable[int]) -> int:
         """Number of retained elements hit by the chosen sets (unscaled)."""
-        picked = set(chosen)
-        for u in picked:
-            if not 0 <= u < self.params.n:
-                raise IdRangeError(f"set id {u} outside [0, {self.params.n})")
-        total = 0
-        for item in self.elements:
-            if picked.intersection(item.sets):
-                total += 1
-        return total
+        return self.system.coverage(chosen)
 
     def __eq__(self, other):
         # Equality matches the serialized identity: the header stores

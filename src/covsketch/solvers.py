@@ -1,10 +1,10 @@
 """Coverage solvers over instances, views, and sketches.
 
-All greedy variants run on a `SetSystem` (per-set bitmasks over a finite
-universe), so the same code serves materialized instances, filtered views and
-finalized sketches. Selection order is deterministic: largest marginal gain,
-ties broken by smallest set id. Exhaustive oracles sit at the bottom, guarded
-against blowing up.
+Every solver runs on a `SetSystem` (see `instance`); instances, views and
+sketches each carry theirs as `.system`. Selection reads only popcounts, so
+the order of positions never matters: largest marginal gain, ties broken by
+smallest set id. Exhaustive oracles sit at the bottom, guarded against
+blowing up.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, GuardExceededError, IdRangeError, StateError
 from .hashing import derive_seed
-from .instance import CoverageInstance, Edge, EdgeStream, edge_blocks
+from .instance import (CoverageInstance, Edge, EdgeStream, SetSystem,
+                       edge_blocks, materialize_system)
 from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
                      StreamingSketchBuilder, build_sketch_from_stream,
                      estimate_coverage)
@@ -28,17 +29,8 @@ from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
 BRUTE_FORCE_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
-class SetSystem:
-    """n sets as bitmasks over a universe of `universe` bit positions."""
-
-    n: int
-    universe: int
-    masks: tuple[int, ...]
-
-
 def as_set_system(target) -> SetSystem:
-    """Adapt an instance, subgraph view, or sketch to a SetSystem.
+    """The SetSystem of an instance, subgraph view, or sketch.
 
     For sketches and views the universe is the retained elements only, in
     their stored order; coverage counts on the adapted system are raw
@@ -46,24 +38,8 @@ def as_set_system(target) -> SetSystem:
     """
     if isinstance(target, SetSystem):
         return target
-    if isinstance(target, CoverageInstance):
-        return SetSystem(n=target.n, universe=target.m, masks=target.masks)
-    if isinstance(target, Sketch):
-        masks = [0] * target.params.n
-        for pos, item in enumerate(target.elements):
-            bit = 1 << pos
-            for u in item.sets:
-                masks[u] |= bit
-        return SetSystem(n=target.params.n, universe=len(target.elements),
-                         masks=tuple(masks))
-    if isinstance(target, SubgraphView):
-        masks = [0] * target.n
-        for pos, e in enumerate(target.elements):
-            bit = 1 << pos
-            for u in target.incident[e]:
-                masks[u] |= bit
-        return SetSystem(n=target.n, universe=len(target.elements),
-                         masks=tuple(masks))
+    if isinstance(target, (CoverageInstance, Sketch, SubgraphView)):
+        return target.system
     raise TypeError(f"cannot adapt {type(target).__name__} to a SetSystem")
 
 
@@ -549,30 +525,23 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
                            "newly_covered": newly})
 
     passes += 1
-    leftover: dict[int, int] = {}
-    masks = [0] * n
-    for u_block, v_block in residual_blocks():
-        for u, v in zip(u_block.tolist(), v_block.tolist()):
-            pos = leftover.setdefault(v, len(leftover))
-            masks[u] |= 1 << pos
-    if leftover:
-        tail = greedy_setcover(SetSystem(n=n, universe=len(leftover),
-                                         masks=tuple(masks)))
-        if tail.covered_on_target < len(leftover):
+    system = materialize_system(EdgeStream(blocks=residual_blocks()), n)
+    if system.universe:
+        tail = greedy_setcover(system)
+        if tail.covered_on_target < system.universe:
             raise StateError("final pass could not cover the residual")
         for u in tail.chosen:
             if u not in chosen_seen:
                 chosen_seen.add(u)
                 chosen.append(u)
-        covered[list(leftover)] = True
 
-    total_covered = int(np.count_nonzero(covered))
+    total_covered = int(np.count_nonzero(covered)) + system.universe
     sol = Solution(chosen=tuple(chosen), covered_on_target=total_covered,
                    gains=())
     sol.meta.update({"r": r, "lam": params.lam, "passes": passes,
                      "pass_budget": params.pass_budget,
                      "iterations": iterations,
-                     "residual_final": len(leftover)})
+                     "residual_final": system.universe})
     assert passes == params.pass_budget
     return sol
 

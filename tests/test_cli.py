@@ -368,15 +368,6 @@ def test_eval_deterministic_apart_from_timing(capsys):
     assert strip(first) == strip(second)
 
 
-def test_eval_parallel_matches_serial(capsys):
-    argv = ["eval", "--gen", "random:n=8,m=30,p=0.3", "--k", "2",
-            "--eps", "0.5", "--seed", "9", "--repeat", "3"]
-    _, serial, _ = run(capsys, *argv)
-    _, parallel, _ = run(capsys, *argv, "--parallel")
-    strip = lambda text: [r[:-1] for r in csv.reader(io.StringIO(text))]
-    assert strip(serial) == strip(parallel)
-
-
 def test_eval_sketch_space_beats_l0_at_k4(capsys):
     code, out, err = run(capsys, "eval", "--gen", "random:n=30,m=400,p=0.35",
                          "--k", "4", "--eps", "0.5", "--seed", "9")
@@ -477,6 +468,15 @@ def test_exit_code_element_id_beyond_32_bits(tmp_path, capsys, monkeypatch):
                        "--k", "1", "--out", str(tmp_path / "sk.bin"))
     assert code == 3
     assert "input error" in err and "32-bit" in err
+
+
+def test_exit_code_eval_set_id_beyond_n(tmp_path, capsys):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 0\n5 1\n")
+    code, _, err = run(capsys, "eval", "--input", str(path), "--n", "2",
+                       "--k", "1")
+    assert code == 3
+    assert "input error" in err and "set id 5" in err
 
 
 def test_exit_code_guard(capsys):

@@ -6,11 +6,12 @@ import json
 import pytest
 
 from covsketch import gen_random, greedy_kcover, write_edges_text, write_metadata
-from covsketch.errors import ConfigError, StateError
+from covsketch.errors import ConfigError, IdRangeError, StateError
 from covsketch.harness import (EVAL_CSV_HEADER, FileEdgeSource, GenEdgeSource,
                                OnceEdgeSource, PhaseTimer, RunReport,
-                               emit_report, materialize_system, parse_gen_spec,
-                               recount_coverage, scan_shape, solution_json)
+                               emit_report, parse_gen_spec, recount_coverage,
+                               scan_shape, solution_json)
+from covsketch.instance import materialize_system
 
 
 def test_eval_csv_header_is_pinned():
@@ -153,7 +154,7 @@ def test_materialize_system_popcounts():
         for u in chosen:
             mask |= system.masks[u]
         assert mask.bit_count() == inst.coverage(chosen)
-    with pytest.raises(ConfigError):
+    with pytest.raises(IdRangeError):
         materialize_system([(6, 0)], 6)
 
 

@@ -72,11 +72,3 @@ def test_unit_matches_value():
     for e in range(100):
         assert h.unit(e) == unit_from_u64(h.value(e))
 
-
-def test_key_is_strict_total_order():
-    h = ElementHasher(5)
-    keys = sorted(h.key(e) for e in range(10_000))
-    for prev, cur in zip(keys, keys[1:]):
-        assert prev < cur
-    # key carries the element id for tie-breaking
-    assert h.key(123) == (h.value(123), 123)

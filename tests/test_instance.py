@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from covsketch import (CoverageInstance, brute_force_kcover, brute_force_setcover,
-                       compact_ids, gen_disjointness, gen_planted_cover, gen_random,
+                       gen_disjointness, gen_planted_cover, gen_random,
                        load_edges, random_edge_stream, read_metadata,
                        write_edges_binary, write_edges_text, write_metadata)
 from covsketch.errors import (IdRangeError, IsolatedElementError, ParseError)
@@ -266,15 +266,6 @@ def test_full_family_covers_everything():
     for seed in range(5):
         inst = gen_random(7, 30, 0.2, seed=seed)
         assert inst.coverage(range(inst.n)) == inst.m
-
-
-def test_compact_ids():
-    edges = [(10, 100), (7, 100), (10, 3)]
-    out, n, m, smap, emap = compact_ids(edges)
-    assert out == [(0, 0), (1, 0), (0, 1)]
-    assert (n, m) == (2, 2)
-    assert smap == {10: 0, 7: 1}
-    assert emap == {100: 0, 3: 1}
 
 
 # ---------------------------------------------------------------------------

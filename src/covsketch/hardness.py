@@ -8,10 +8,16 @@ queries essentially never leave the band, value-query strategies cannot steer
 toward the gold set, which the demo harness makes measurable. The true
 coverage formula k + (n/k) * Gold(S) is computed directly instead of
 materializing n/k exclusive elements per gold item; n need not divide by k.
+
+Items are integers (Python ints or numpy integer scalars) in [0, n_items);
+any other item, such as a float, raises ConfigError. Each public oracle
+validates its query once and answers through private helpers that take the
+validated frozenset.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -41,13 +47,16 @@ class PlantedGoldInstance:
         self.seed = seed
         rng = np.random.default_rng(seed)
         self._gold = frozenset(
-            int(i) for i in rng.choice(n_items, size=k_gold, replace=False))
+            rng.choice(n_items, size=k_gold, replace=False).tolist())
 
     @classmethod
     def from_gold(cls, n_items: int, gold: Iterable[int], eps: float
                   ) -> "PlantedGoldInstance":
-        """Audit-level constructor with an explicit gold set (for tests)."""
-        gold = frozenset(int(i) for i in gold)
+        """Audit-level constructor with an explicit gold set (for tests).
+
+        Gold items must be integers; a float raises ConfigError.
+        """
+        gold = _as_items(gold)
         _validate_shape(n_items, len(gold), eps)
         for i in (min(gold), max(gold)):
             if not 0 <= i < n_items:
@@ -71,7 +80,8 @@ class PlantedGoldInstance:
         return self.k_gold + self.n_items
 
     def _clean(self, items: Iterable[int]) -> frozenset:
-        s = frozenset(int(i) for i in items)
+        """The query as a frozenset of in-range integer items."""
+        s = _as_items(items)
         if s:
             lo, hi = min(s), max(s)
             if lo < 0 or hi >= self.n_items:
@@ -85,45 +95,69 @@ class PlantedGoldInstance:
         return self._gold
 
     def gold_count(self, items: Iterable[int]) -> int:
-        """Exact |S intersect gold|. Audit-level: not available to strategies."""
+        """Exact |S intersect gold| of integer items. Audit-level: not
+        available to strategies."""
         return len(self._clean(items) & self._gold)
 
     def true_coverage(self, items: Iterable[int]) -> Fraction:
-        """Exact coverage value k + (n/k) * Gold(S) of a nonempty query."""
-        s = self._clean(items)
-        if not s:
-            raise ConfigError("coverage is defined for nonempty queries only")
-        g = len(s & self._gold)
-        return (Fraction(self.k_gold)
-                + Fraction(self.n_items, self.k_gold) * g)
+        """Exact coverage value k + (n/k) * Gold(S) of a nonempty query of
+        integer items."""
+        return self._true(self._nonempty(items))
 
     # -- public query interface
 
     def deviation_oracle(self, items: Iterable[int]) -> int:
         """1 iff the query's gold count escapes its tolerance band.
 
-        The band is k|S|/n +- eps*(k|S|/n + k^2/n), evaluated in exact
-        rationals; answers reveal a single bit.
+        Items are integers. The band is k|S|/n +- eps*(k|S|/n + k^2/n),
+        evaluated in exact rationals; answers reveal a single bit.
         """
+        return self._deviation(self._clean(items))
+
+    def noisy_coverage_oracle(self, items: Iterable[int]) -> Fraction:
+        """k + |S| while the deviation bit is quiet, the true value otherwise.
+
+        Items are integers; the query must be nonempty.
+        """
+        return self._noisy(self._nonempty(items))
+
+    # -- the oracles on a validated query (a frozenset from _clean)
+
+    def _nonempty(self, items: Iterable[int]) -> frozenset:
         s = self._clean(items)
+        if not s:
+            raise ConfigError("coverage is defined for nonempty queries only")
+        return s
+
+    def _true(self, s: frozenset) -> Fraction:
+        g = len(s & self._gold)
+        return (Fraction(self.k_gold)
+                + Fraction(self.n_items, self.k_gold) * g)
+
+    def _deviation(self, s: frozenset) -> int:
         g = len(s & self._gold)
         center = Fraction(self.k_gold * len(s), self.n_items)
         slack = Fraction(self.eps) * (
             center + Fraction(self.k_gold * self.k_gold, self.n_items))
         return 0 if center - slack <= g <= center + slack else 1
 
-    def noisy_coverage_oracle(self, items: Iterable[int]) -> Fraction:
-        """k + |S| while the deviation bit is quiet, the true value otherwise."""
-        s = self._clean(items)
-        if not s:
-            raise ConfigError("coverage is defined for nonempty queries only")
-        if self.deviation_oracle(s) == 0:
+    def _noisy(self, s: frozenset) -> Fraction:
+        if self._deviation(s) == 0:
             return Fraction(self.k_gold + len(s))
-        return self.true_coverage(s)
+        return self._true(s)
 
     def __repr__(self):
         return (f"PlantedGoldInstance(n_items={self.n_items}, "
                 f"k_gold={self.k_gold}, eps={self.eps})")
+
+
+def _as_items(items: Iterable[int]) -> frozenset:
+    """Items as a frozenset of Python ints; a non-integer raises ConfigError."""
+    items = iter(items)  # a non-iterable still raises TypeError
+    try:
+        return frozenset(map(operator.index, items))
+    except TypeError as exc:
+        raise ConfigError(f"items must be integers: {exc}") from None
 
 
 def _validate_shape(n_items, k_gold, eps):
@@ -148,7 +182,7 @@ class ValidityReport:
 
 def _sample_query(rng, n):
     size = int(rng.integers(1, n + 1))
-    return [int(i) for i in rng.choice(n, size=size, replace=False)]
+    return rng.choice(n, size=size, replace=False).tolist()
 
 
 def verify_oracle_validity(inst: PlantedGoldInstance, trials: int,
@@ -165,9 +199,9 @@ def verify_oracle_validity(inst: PlantedGoldInstance, trials: int,
     hi = Fraction(1) + Fraction(inst.eps_prime)
     violations = []
     for _ in range(trials):
-        query = _sample_query(rng, inst.n_items)
-        noisy = inst.noisy_coverage_oracle(query)
-        true = inst.true_coverage(query)
+        query = inst._nonempty(_sample_query(rng, inst.n_items))
+        noisy = inst._noisy(query)
+        true = inst._true(query)
         if not (lo * noisy <= true <= hi * noisy):
             if len(violations) < 10:
                 violations.append((len(query), float(noisy), float(true)))

@@ -486,14 +486,13 @@ def gen_disjointness(a_ids: Iterable[int], b_ids: Iterable[int], n: int) -> Cove
     Element 0 belongs to the sets in a_ids, element 1 to those in b_ids. A
     single set covers both elements iff the id-sets intersect, so the best
     1-cover has value 2 exactly when they do. Streaming order (element 0's
-    edges, then element 1's) comes from edges_by_element().
+    edges, then element 1's) comes from edges_by_element(). A set id outside
+    [0, n) raises IdRangeError naming the first such id, a_ids before b_ids,
+    each ascending.
     """
     a = sorted(set(a_ids))
     b = sorted(set(b_ids))
     if not a or not b:
         raise ValueError("both id collections must be nonempty")
-    for u in (a[0], a[-1], b[0], b[-1]):
-        if not 0 <= u < n:
-            raise IdRangeError(f"set id {u} outside [0, {n})")
-    edges = [(u, 0) for u in a] + [(u, 1) for u in b]
-    return CoverageInstance.from_edges(n, 2, edges)
+    return CoverageInstance(
+        n, 2, SetSystem.from_incidence(n, 2, ((0, a), (1, b))).masks)

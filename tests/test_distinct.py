@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import pytest
 
@@ -211,6 +212,18 @@ def test_distinct_load_rejects_corruption():
                + blob[head + 4:head + 12] + blob[head + 20:])
     with pytest.raises(ParseError):
         load_distinct(io.BytesIO(swapped))
+
+
+def test_distinct_load_rejects_more_hashes_than_capacity():
+    # capacity 2, one repetition holding 3 strictly increasing hashes
+    forged = (struct.pack("<IIQ", 2, 1, 0) + struct.pack("<I", 3)
+              + struct.pack("<3Q", 1 << 60, 1 << 61, 1 << 62))
+    with pytest.raises(ParseError, match="3 hashes in a repetition of capacity 2"):
+        load_distinct(io.BytesIO(forged))
+    # exactly `capacity` hashes still load
+    full = (struct.pack("<IIQ", 2, 1, 0) + struct.pack("<I", 2)
+            + struct.pack("<2Q", 1 << 60, 1 << 61))
+    assert load_distinct(io.BytesIO(full)).mins == [[1 << 60, 1 << 61]]
 
 
 def test_distinct_repr():

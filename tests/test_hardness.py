@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from covsketch import (PlantedGoldInstance, query_counter_demo,
@@ -51,6 +52,22 @@ def test_audit_identities():
         inst.true_coverage([])
     with pytest.raises(IdRangeError):
         inst.true_coverage([10])
+
+
+def test_items_must_be_integers():
+    inst = PlantedGoldInstance.from_gold(10, [2, 7], 0.2)
+    # a float is not truncated to a gold id: 2.9 is not item 2
+    for oracle in (inst.gold_count, inst.true_coverage, inst.deviation_oracle,
+                   inst.noisy_coverage_oracle):
+        with pytest.raises(ConfigError):
+            oracle([2.9])
+        with pytest.raises(ConfigError):
+            oracle([3, np.float64(2.0)])
+    with pytest.raises(ConfigError):
+        PlantedGoldInstance.from_gold(10, [2.0, 7], 0.2)
+    # Python and numpy integers both pass
+    assert inst.gold_count([2, np.int64(7), np.uint8(3)]) == 2
+    assert inst.true_coverage(np.array([2, 7])) == Fraction(2 + 10)
 
 
 def test_opt_value_identity_sampled_shapes():

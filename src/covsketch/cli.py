@@ -200,18 +200,15 @@ def cmd_setcover_outliers(args) -> int:
     report = RunReport(command="setcover-outliers", label=src.label,
                        seed=args.seed)
     n, _ = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
-    mode = "fanout" if args.parallel else "lazy"
-    if mode == "lazy" and not src.replayable:
-        raise ConfigError("the ladder needs one pass per level; use --parallel "
-                          "for single-pass fan-out on a non-replayable stream")
     opts = OutlierParams.derive(eps=args.eps, lam=args.lam, c=args.c, n=n)
     timer = PhaseTimer()
     builder_seed = derive_seed(args.seed, SEED_BUILDER)
     with timer.time("solve"):
-        sol = setcover_outliers(src, n, opts, builder_seed, mode=mode)
+        sol = setcover_outliers(src, n, opts, builder_seed)
     report.params = {"n": n, "eps": args.eps, "lambda": args.lam, "c": args.c,
-                     "mode": mode, "k_prime": sol.meta.get("k_prime"),
+                     "k_prime": sol.meta.get("k_prime"),
                      "ladder_level": sol.meta.get("ladder_level")}
+    report.sketch_stats = {"builder": sol.meta.pop("builder_stats")}
     report.solutions = [solution_json(sol, n, builder_seed)]
     covered = _maybe_recount(src, sol.chosen, report, timer)
     if covered is not None:
@@ -451,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--parallel", action="store_true",
-                    help="fan out all ladder levels in a single pass")
     sp.add_argument("--with-opt", action="store_true")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_setcover_outliers)

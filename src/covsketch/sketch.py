@@ -15,6 +15,10 @@ edge_budget + degree_cap retained edges plus one block in flight. Under one
 (seed, params) pair and a cap that never binds, the two finalized sketches
 are byte-identical after serialization.
 
+Under one seed, sketches at smaller caps and budgets are re-capped hash
+prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
+one pass serves every level of the outlier ladder.
+
 A sketch is itself a small coverage instance: `Sketch.system` (likewise
 `SubgraphView.system`) is a `SetSystem` with one position per retained
 element in stored order, so any solver runs on it unchanged.
@@ -22,7 +26,10 @@ element in stored order, so any solver runs on it unchanged.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
+import operator
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -122,6 +129,9 @@ class SketchElement(NamedTuple):
     element: int
     hash: int                 # u64 keyed hash
     sets: tuple[int, ...]     # incident set ids, sorted ascending
+
+
+_SETS = operator.attrgetter("sets")
 
 
 @dataclass(frozen=True)
@@ -262,18 +272,43 @@ def estimate_coverage(sk: Sketch, chosen: Iterable[int]) -> CoverageEstimate:
     return CoverageEstimate(raw=raw, scaled=raw / sk.threshold)
 
 
-def _finalize_items(params, seed, items):
-    """Trim (key-sorted) admitted elements to the minimal budget-meeting prefix."""
-    total = 0
-    for idx, (hash_val, elem, sets) in enumerate(items):
-        total += len(sets)
-        if total >= params.edge_budget:
-            kept = items[:idx + 1]
-            threshold = unit_from_u64(hash_val)
-            elements = tuple(SketchElement(elem, h, s) for h, elem, s in kept)
-            return Sketch(params, seed, elements, threshold, total)
-    elements = tuple(SketchElement(elem, h, s) for h, elem, s in items)
-    return Sketch(params, seed, elements, 1.0, total)
+def _finalize_items(params, seed, elements):
+    """Trim (key-sorted) SketchElements to the minimal budget-meeting prefix."""
+    ends = list(itertools.accumulate(map(len, map(_SETS, elements))))
+    cut = bisect.bisect_left(ends, params.edge_budget)
+    if cut < len(ends):
+        return Sketch(params, seed, tuple(elements[:cut + 1]),
+                      unit_from_u64(elements[cut].hash), ends[cut])
+    return Sketch(params, seed, tuple(elements), 1.0, ends[-1] if ends else 0)
+
+
+def recap_sketch(base: Sketch, params: SketchParams) -> Sketch:
+    """The sketch at `params` and the base's seed, read off a larger base.
+
+    Each retained element keeps its params.degree_cap smallest set ids, and
+    the result is trimmed to the minimal hash prefix meeting
+    params.edge_budget, as `build_sketch_offline` would. That needs a base
+    capped at params.degree_cap or above that retains the whole prefix;
+    otherwise StateError. When nothing is cut or trimmed, the result shares
+    the base's elements and its SetSystem.
+    """
+    if params.n != base.params.n:
+        raise ConfigError(f"base sketch has n={base.params.n} but params "
+                          f"expect n={params.n}")
+    cap = params.degree_cap
+    if cap > base.params.degree_cap:
+        raise StateError(f"cannot raise degree cap {base.params.degree_cap} "
+                         f"to {cap}")
+    elements = base.elements
+    if max(map(len, map(_SETS, elements)), default=0) > cap:
+        elements = [item._replace(sets=item.sets[:cap]) for item in elements]
+    sk = _finalize_items(params, base.seed, elements)
+    if sk.full_retention and not base.full_retention:
+        raise StateError(f"base sketch holds {sk.edge_total} edges at cap "
+                         f"{cap}, short of the edge budget {params.edge_budget}")
+    if sk.elements is base.elements:
+        sk._system = base.system
+    return sk
 
 
 def build_sketch_offline(inst: CoverageInstance, params: SketchParams,
@@ -289,15 +324,9 @@ def build_sketch_offline(inst: CoverageInstance, params: SketchParams,
     hasher = ElementHasher(seed)
     order = sorted((hasher.value(e), e) for e in range(inst.m))
     cap = params.degree_cap
-    items = []
-    total = 0
-    for hash_val, elem in order:
-        sets = inst.elements[elem][:cap]
-        items.append((hash_val, elem, sets))
-        total += len(sets)
-        if total >= params.edge_budget:
-            break
-    return _finalize_items(params, seed, items)
+    return _finalize_items(params, seed, [
+        SketchElement(elem, hash_val, inst.elements[elem][:cap])
+        for hash_val, elem in order])
 
 
 @dataclass
@@ -481,13 +510,10 @@ class StreamingSketchBuilder:
         self._finalized = True
         sets = self._sets.tolist()
         ends = np.cumsum(self._degrees).tolist()
-        items = []
-        start = 0
-        for hash_val, elem, end in zip(self._hashes.tolist(),
-                                       self._elements.tolist(), ends):
-            items.append((hash_val, elem, tuple(sets[start:end])))
-            start = end
-        sk = _finalize_items(self.params, self.seed, items)
+        sk = _finalize_items(self.params, self.seed, [
+            SketchElement(elem, hash_val, tuple(sets[start:end]))
+            for elem, hash_val, start, end in zip(
+                self._elements.tolist(), self._hashes.tolist(), [0] + ends, ends)])
         self.stats.threshold = sk.threshold
         self.stats.budget_bound = sk.threshold < 1.0
         sk.stats = self.stats

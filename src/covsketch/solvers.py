@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .hashing import derive_seed
 from .instance import (CoverageInstance, Edge, EdgeStream, SetSystem,
                        edge_blocks, materialize_system)
 from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
-                     StreamingSketchBuilder, build_sketch_from_stream,
-                     estimate_coverage)
+                     build_sketch_from_stream, estimate_coverage, recap_sketch)
 
 BRUTE_FORCE_GUARD = 10_000_000
 
@@ -340,14 +339,15 @@ def setcover_probe(edges_or_sketch, n: int, k_prime: float,
     return result
 
 
-EdgeSource = Callable[[], Iterable[Edge]]
-
-
-def _as_source(source) -> EdgeSource:
+def _as_source(source) -> Callable[[], Iterable[Edge]]:
+    """A replayable source: a callable returning a fresh edge iterable, or a
+    re-iterable collection (read in place, not copied)."""
     if callable(source):
         return source
-    buffered = list(source)
-    return lambda: iter(buffered)
+    if isinstance(source, EdgeStream) or iter(source) is source:
+        raise ConfigError("a one-shot edge iterator cannot be replayed; pass "
+                          "a list or a callable returning a fresh iterator")
+    return lambda: iter(source)
 
 
 def _ladder(n: int, eps: float) -> list[float]:
@@ -363,61 +363,40 @@ def _ladder(n: int, eps: float) -> list[float]:
     return levels
 
 
-def setcover_outliers(source, n: int, opts: OutlierParams, seed: int, *,
-                      mode: str = "lazy") -> Solution:
+def setcover_outliers(source, n: int, opts: OutlierParams, seed: int) -> Solution:
     """Set cover leaving at most a lambda fraction uncovered.
 
     Walks the geometric ladder of size guesses and returns the first accepted
-    probe's solution. mode="lazy" sketches one ladder level per pass over the
-    source (a callable returning a fresh edge iterator, or a buffered
-    iterable); mode="fanout" feeds every level's builder in a single pass.
-    Both modes produce identical solutions since each level's sketch seed is
-    derived from (seed, level index) either way.
+    probe's solution; the last level, k' = n, picks every set and always
+    accepts. The levels differ only in cap and budget, so one pass
+    over `source` (an edge iterable, or a callable returning one) builds a
+    single base sketch under derive_seed(seed, 0): cap c_max, the largest
+    level cap, and budget max over levels of B * ceil(c_max / c), which
+    retains every level's hash prefix because min(d, c) >= (c / c_max) *
+    min(d, c_max). Each level's probe sketch is `recap_sketch` of the base,
+    so the pass holds B * ceil(c_max / c_min) + c_max edges plus one block.
+    meta["builder_stats"] carries the base build's counters.
     """
     if opts.n != n:
         raise ConfigError(f"opts derived for n={opts.n}, called with n={n}")
-    if mode not in ("lazy", "fanout"):
-        raise ConfigError(f"mode must be 'lazy' or 'fanout', got {mode!r}")
-    src = _as_source(source)
     levels = _ladder(n, opts.eps)
-    configs = []
-    for idx, k_prime in enumerate(levels):
-        params, pick_budget = probe_params(n, k_prime, opts.eps_prime,
-                                           opts.lambda_prime, opts.c_prime)
-        configs.append((idx, k_prime, params, pick_budget,
-                        derive_seed(seed, idx)))
-
-    def run_level(cfg, sk):
-        idx, k_prime, params, pick_budget, _ = cfg
+    configs = [probe_params(n, k_prime, opts.eps_prime, opts.lambda_prime,
+                            opts.c_prime) for k_prime in levels]
+    top = max(params.degree_cap for params, _ in configs)
+    base_params = replace(configs[0][0], degree_cap=top, edge_budget=max(
+        params.edge_budget * math.ceil(top / params.degree_cap)
+        for params, _ in configs))
+    edges = source() if callable(source) else source
+    base = build_sketch_from_stream(edges, base_params, derive_seed(seed, 0))
+    for idx, (k_prime, (params, pick_budget)) in enumerate(zip(levels, configs)):
+        sk = recap_sketch(base, params)
         result = probe_on_sketch(sk, pick_budget, params.eps, opts.lambda_prime)
         if result is not REJECT:
-            result.meta.update({"k_prime": k_prime, "ladder_level": idx,
-                                "levels_total": len(levels)})
-        return result
-
-    last_sketch = None
-    if mode == "fanout":
-        builders = [StreamingSketchBuilder(cfg[2], cfg[4]) for cfg in configs]
-        for u, v in edge_blocks(src()):
-            for b in builders:
-                b.update_block(u, v)
-        for cfg, b in zip(configs, builders):
-            last_sketch = b.finalize()
-            result = run_level(cfg, last_sketch)
-            if result is not REJECT:
-                return result
-    else:
-        for cfg in configs:
-            last_sketch = build_sketch_from_stream(src(), cfg[2], cfg[4])
-            result = run_level(cfg, last_sketch)
-            if result is not REJECT:
-                return result
-    # Unreachable in theory (the k'=n probe picks every set and cannot fall
-    # short of the bar), but the contract is to fall back to all sets.
-    covered = last_sketch.covered_retained(range(n)) if last_sketch else 0
-    return Solution(chosen=tuple(range(n)), covered_on_target=covered, gains=(),
-                    meta={"k_prime": float(n), "ladder_level": len(levels) - 1,
-                          "levels_total": len(levels), "fallback_all_sets": True})
+            result.meta.update(k_prime=k_prime, ladder_level=idx,
+                               levels_total=len(levels),
+                               builder_stats=base.stats.as_dict())
+            return result
+    raise StateError("the k'=n level picks every set, so it cannot reject")
 
 
 # ---------------------------------------------------------------------------
@@ -467,19 +446,20 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
                        c: float = 1.0) -> Solution:
     """Exact set cover in 2(r-1)+1 passes over the edge stream.
 
-    Each of the r-1 iterations runs the outlier solver (fan-out, one pass) on
-    the residual stream and then marks what its picks covered (second pass);
-    the final pass materializes the leftover and covers it greedily. r=1
+    Each of the r-1 iterations runs the outlier solver (one pass) on the
+    residual stream and then marks what its picks covered (second pass); the
+    final pass materializes the leftover and covers it greedily. r=1
     degenerates to classic single-pass-materialize greedy set cover. The
-    chosen tuple is duplicate-free in first-pick order.
+    chosen tuple is duplicate-free in first-pick order. `source` must be
+    replayable: a callable returning a fresh edge iterable, or a re-iterable
+    collection such as a list; a one-shot iterator raises ConfigError.
     """
     if eps <= 0.0 or eps > 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     params = MultipassParams.derive(r=r, m=m, c=c)
     src = _as_source(source)
     covered = np.zeros(m, dtype=bool)
-    chosen: list[int] = []
-    chosen_seen: set[int] = set()
+    chosen: dict[int, None] = {}     # picks in first-pick order
     iterations = []
     passes = 0
 
@@ -503,7 +483,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
                                     c=max(1.0, params.c_prime), n=n)
         passes += 1
         sol_i = setcover_outliers(lambda: EdgeStream(blocks=residual_blocks()),
-                                  n, opts, derive_seed(seed, i), mode="fanout")
+                                  n, opts, derive_seed(seed, i))
         picks = np.array(sorted(set(sol_i.chosen)), dtype=np.int64)
         passes += 1
         before = covered.copy()
@@ -512,10 +492,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
             fresh = ~before[v]
             uncovered[v[fresh]] = True
             covered[v[fresh & np.isin(u, picks)]] = True
-        for u in sol_i.chosen:
-            if u not in chosen_seen:
-                chosen_seen.add(u)
-                chosen.append(u)
+        chosen.update(dict.fromkeys(sol_i.chosen))
         uncovered_before = int(np.count_nonzero(uncovered))
         newly = int(np.count_nonzero(covered & ~before))
         iterations.append({"k_prime": sol_i.meta.get("k_prime"),
@@ -530,10 +507,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
         tail = greedy_setcover(system)
         if tail.covered_on_target < system.universe:
             raise StateError("final pass could not cover the residual")
-        for u in tail.chosen:
-            if u not in chosen_seen:
-                chosen_seen.add(u)
-                chosen.append(u)
+        chosen.update(dict.fromkeys(tail.chosen))
 
     total_covered = int(np.count_nonzero(covered)) + system.universe
     sol = Solution(chosen=tuple(chosen), covered_on_target=total_covered,

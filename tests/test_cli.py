@@ -245,38 +245,52 @@ def test_outliers_covers_enough(capsys):
                        "--seed", "4", "--with-opt")
     fraction = float(payload["params"]["true_covered_fraction"])
     assert fraction >= 1.0 - lam - 1e-9
-    assert payload["params"]["mode"] == "lazy"
+    # one ladder pass plus one oracle recount; --with-opt reads a third time
+    assert payload["passes"] == 3
     assert payload["true_values"]["opt_size"]["value"] >= 1
 
 
-def test_outliers_parallel_matches_lazy(capsys):
-    lam = str(math.exp(-1))
-    serial = run_json(capsys, "setcover-outliers", "--gen",
-                      "random:n=8,m=50,p=0.3", "--lambda", lam, "--seed", "4")
-    fanout = run_json(capsys, "setcover-outliers", "--gen",
-                      "random:n=8,m=50,p=0.3", "--lambda", lam, "--seed", "4",
-                      "--parallel")
-    assert serial["solutions"][0]["chosen"] == fanout["solutions"][0]["chosen"]
-    assert fanout["params"]["mode"] == "fanout"
-    # fan-out consumes the stream once, plus one oracle recount pass
-    assert fanout["passes"] == 2
+def test_outliers_report_schema(capsys):
+    payload = run_json(capsys, "setcover-outliers", "--gen",
+                       "random:n=8,m=50,p=0.3", "--lambda", str(math.exp(-1)),
+                       "--seed", "4")
+    assert payload["passes"] == 2    # the whole ladder, plus the oracle recount
+    assert "mode" not in payload["params"]
+    assert set(payload["sketch_stats"]) == {"builder"}
+    builder = payload["sketch_stats"]["builder"]
+    assert set(builder) == BUILDER_STATS_KEYS
+    stream = random_edge_stream(8, 50, 0.3, derive_seed(4, SEED_GENERATOR))
+    assert builder["seen_edges"] == len(list(stream))
+    assert builder["budget_bound"] is False and builder["threshold"] == 1.0
+    assert builder["evicted_edges"] == 0
+    assert "builder_stats" not in payload["solutions"][0]["params"]
 
 
 def test_outliers_stdin_requires_parallel(capsys, monkeypatch):
+    # stdin once needed --parallel; the one-pass ladder reads it with no
+    # flag, and the flag itself is gone
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n1 1\n"))
+    code, out, err = run(capsys, "setcover-outliers", "--input", "-", "--n",
+                         "2", "--lambda", str(math.exp(-1)), "--json")
+    assert code == 0, err
+    assert json.loads(out)["passes"] == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n1 1\n"))
     code, _, err = run(capsys, "setcover-outliers", "--input", "-", "--n", "2",
-                       "--lambda", str(math.exp(-1)))
+                       "--lambda", str(math.exp(-1)), "--parallel")
     assert code == 2
-    assert "--parallel" in err
+    assert "unrecognized arguments: --parallel" in err
 
 
 def test_outliers_stdin_parallel_works(capsys, monkeypatch):
+    # every ladder level is served side by side from one pass over stdin
     import sys
     monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n0 1\n1 2\n"))
     payload = run_json(capsys, "setcover-outliers", "--input", "-", "--n", "2",
-                       "--lambda", str(math.exp(-1)), "--parallel")
+                       "--lambda", str(math.exp(-1)))
     assert payload["solutions"][0]["chosen"]
+    assert payload["passes"] == 1
+    assert payload["sketch_stats"]["builder"]["seen_edges"] == 3
     assert any("not replayable" in note for note in payload["notes"])
 
 

@@ -2,21 +2,26 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from covsketch import (BRUTE_FORCE_GUARD, MultipassParams, OutlierParams,
-                       REJECT, SetSystem, Sketch, SketchParams, as_set_system,
+from covsketch import (BRUTE_FORCE_GUARD, EdgeStream, MultipassParams,
+                       OutlierParams, REJECT, SetSystem, Sketch, SketchParams,
+                       StreamingSketchBuilder, as_set_system,
                        brute_force_kcover, brute_force_setcover,
-                       build_sketch_offline, gen_planted_cover, gen_random,
+                       build_sketch_from_stream, build_sketch_offline,
+                       derive_seed, gen_planted_cover, gen_random,
                        greedy_kcover, greedy_setcover, kcover_via_sketch,
                        probe_params, probe_on_sketch, sample_subgraph,
                        setcover_multipass, setcover_outliers, setcover_probe,
                        threshold_greedy)
 from covsketch.errors import (ConfigError, GuardExceededError, IdRangeError,
                               StateError)
-from covsketch.instance import CoverageInstance
+from covsketch.instance import CoverageInstance, random_edge_blocks
+from covsketch.solvers import _as_source, _ladder
 
 
 def _naive_greedy(masks, universe, budget=None, until_covered=False):
@@ -339,15 +344,87 @@ def test_probe_accepts_empty_sketch():
 # Outlier set cover
 
 
-def test_setcover_outliers_lazy_equals_fanout():
-    opts = OutlierParams.derive(eps=0.3, lam=1.0 / math.e, c=1.0, n=8)
-    for seed in range(5):
-        inst = gen_random(8, 40, 0.3, seed=seed)
+def _per_level_ladder(edges, n, opts, seed):
+    """The ladder as one streaming build per level, every level under
+    derive_seed(seed, 0): the reference for the single-pass ladder."""
+    levels = _ladder(n, opts.eps)
+    for idx, k_prime in enumerate(levels):
+        params, pick_budget = probe_params(n, k_prime, opts.eps_prime,
+                                           opts.lambda_prime, opts.c_prime)
+        sk = build_sketch_from_stream(edges, params, derive_seed(seed, 0))
+        result = probe_on_sketch(sk, pick_budget, params.eps, opts.lambda_prime)
+        if result is not REJECT:
+            result.meta.update({"k_prime": k_prime, "ladder_level": idx,
+                                "levels_total": len(levels)})
+            return result
+    raise AssertionError("the k'=n level accepts")
+
+
+def _planted_or_random(seed):
+    if seed % 2:
+        return gen_planted_cover(10, 40 + seed, 1 + seed % 3, seed=seed)[0]
+    return gen_random(8 + seed % 3, 40, 0.3, seed=seed)
+
+
+def test_setcover_outliers_matches_per_level_oracle():
+    for seed in range(8):
+        inst = _planted_or_random(seed)
         edges = list(inst.edges_by_element())
-        lazy = setcover_outliers(edges, 8, opts, seed, mode="lazy")
-        fanout = setcover_outliers(edges, 8, opts, seed, mode="fanout")
-        assert lazy.chosen == fanout.chosen
-        assert lazy.meta == fanout.meta
+        random.Random(seed).shuffle(edges)
+        opts = OutlierParams.derive(eps=0.3, lam=1.0 / math.e, c=1.0, n=inst.n)
+        sol = setcover_outliers(edges, inst.n, opts, seed)
+        ref = _per_level_ladder(edges, inst.n, opts, seed)
+        assert sol.chosen == ref.chosen
+        assert sol.gains == ref.gains
+        assert sol.covered_on_target == ref.covered_on_target
+        assert sol.estimate == ref.estimate
+        stats = sol.meta.pop("builder_stats")
+        assert sol.meta == ref.meta
+        assert stats["seen_edges"] == len(edges) and not stats["budget_bound"]
+
+
+def test_setcover_outliers_reads_its_source_once(monkeypatch):
+    inst = gen_random(9, 45, 0.3, seed=3)
+    opens, builds = [0], [0]
+
+    def src():
+        opens[0] += 1
+        return inst.edges_by_element()
+
+    finalize = StreamingSketchBuilder.finalize
+
+    def counted(builder):
+        builds[0] += 1
+        return finalize(builder)
+
+    monkeypatch.setattr(StreamingSketchBuilder, "finalize", counted)
+    opts = OutlierParams.derive(eps=0.3, lam=1.0 / math.e, c=1.0, n=9)
+    sol = setcover_outliers(src, 9, opts, seed=3)
+    assert sol.meta["ladder_level"] > 0
+    assert opens[0] == 1 and builds[0] == 1
+    one_shot = setcover_outliers(inst.edges_by_element(), 9, opts, seed=3)
+    assert one_shot.chosen == sol.chosen
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_setcover_outliers_memory_is_one_sketch():
+    def stream():
+        return EdgeStream(blocks=random_edge_blocks(50, 4000, 0.05, 1))
+
+    opts = OutlierParams.derive(eps=0.3, lam=1.0 / math.e, c=1.0, n=50)
+    params, _ = probe_params(50, 1.1, opts.eps_prime, opts.lambda_prime,
+                             opts.c_prime)
+    one = _peak_bytes(lambda: build_sketch_from_stream(stream(), params, 1).system)
+    ladder = _peak_bytes(lambda: setcover_outliers(stream, 50, opts, seed=1))
+    assert ladder < 2 * one
 
 
 def test_setcover_outliers_coverage_floor():
@@ -387,8 +464,6 @@ def test_setcover_outliers_validation():
     opts = OutlierParams.derive(eps=0.3, lam=0.3, c=1.0, n=4)
     with pytest.raises(ConfigError):
         setcover_outliers([], 5, opts, seed=0)
-    with pytest.raises(ConfigError):
-        setcover_outliers([], 4, opts, seed=0, mode="sideways")
 
 
 def test_setcover_outliers_source_forms_agree():
@@ -465,6 +540,19 @@ def test_multipass_iteration_contraction():
         for it in sol.meta["iterations"]:
             assert it["uncovered_after"] <= lam * it["uncovered_before"] + 1e-9
             assert it["uncovered_before"] - it["uncovered_after"] == it["newly_covered"]
+
+
+def test_multipass_source_must_be_replayable():
+    edges = [(0, 0), (1, 1)]
+    with pytest.raises(ConfigError, match="one-shot"):
+        setcover_multipass(iter(edges), 2, 2, 1, 0.3, seed=0)
+    with pytest.raises(ConfigError, match="one-shot"):
+        setcover_multipass((e for e in edges), 2, 2, 1, 0.3, seed=0)
+    with pytest.raises(ConfigError, match="one-shot"):
+        setcover_multipass(EdgeStream(edges=edges), 2, 2, 1, 0.3, seed=0)
+    src = _as_source(edges)
+    edges.append((1, 2))              # read in place, not a copy
+    assert list(src()) == list(src()) == edges
 
 
 def test_multipass_domain_errors():

@@ -56,7 +56,9 @@ def _open_source(args, master_seed):
         spec = parse_gen_spec(args.gen)
         return GenEdgeSource(spec, derive_seed(master_seed, SEED_GENERATOR))
     if args.input == "-":
-        stream = sys.stdin.buffer if args.format == "binary" else sys.stdin
+        # bytes for text too, so non-ASCII input is a ParseError; a text
+        # stream without a buffer (a replaced sys.stdin) is read as is
+        stream = getattr(sys.stdin, "buffer", sys.stdin)
         return OnceEdgeSource(
             EdgeStream(edges=load_edges(stream, args.format),
                        blocks=load_edge_blocks(stream, args.format)), "stdin")

@@ -37,13 +37,14 @@ class PlantedGoldInstance:
     reporting only.
     """
 
-    __slots__ = ("n_items", "k_gold", "eps", "seed", "_gold")
+    __slots__ = ("n_items", "k_gold", "eps", "seed", "_gold", "_eps_pq")
 
     def __init__(self, n_items: int, k_gold: int, eps: float, seed: int):
         _validate_shape(n_items, k_gold, eps)
         self.n_items = n_items
         self.k_gold = k_gold
         self.eps = eps
+        self._eps_pq = Fraction(eps).as_integer_ratio()
         self.seed = seed
         rng = np.random.default_rng(seed)
         self._gold = frozenset(
@@ -65,6 +66,7 @@ class PlantedGoldInstance:
         inst.n_items = n_items
         inst.k_gold = len(gold)
         inst.eps = eps
+        inst._eps_pq = Fraction(eps).as_integer_ratio()
         inst.seed = None
         inst._gold = gold
         return inst
@@ -102,7 +104,7 @@ class PlantedGoldInstance:
     def true_coverage(self, items: Iterable[int]) -> Fraction:
         """Exact coverage value k + (n/k) * Gold(S) of a nonempty query of
         integer items."""
-        return self._true(self._nonempty(items))
+        return Fraction(self._scaled_true(self._nonempty(items)), self.k_gold)
 
     # -- public query interface
 
@@ -110,7 +112,7 @@ class PlantedGoldInstance:
         """1 iff the query's gold count escapes its tolerance band.
 
         Items are integers. The band is k|S|/n +- eps*(k|S|/n + k^2/n),
-        evaluated in exact rationals; answers reveal a single bit.
+        tested exactly in integers; answers reveal a single bit.
         """
         return self._deviation(self._clean(items))
 
@@ -119,7 +121,7 @@ class PlantedGoldInstance:
 
         Items are integers; the query must be nonempty.
         """
-        return self._noisy(self._nonempty(items))
+        return Fraction(self._scaled_noisy(self._nonempty(items)), self.k_gold)
 
     # -- the oracles on a validated query (a frozenset from _clean)
 
@@ -129,22 +131,22 @@ class PlantedGoldInstance:
             raise ConfigError("coverage is defined for nonempty queries only")
         return s
 
-    def _true(self, s: frozenset) -> Fraction:
-        g = len(s & self._gold)
-        return (Fraction(self.k_gold)
-                + Fraction(self.n_items, self.k_gold) * g)
-
     def _deviation(self, s: frozenset) -> int:
-        g = len(s & self._gold)
-        center = Fraction(self.k_gold * len(s), self.n_items)
-        slack = Fraction(self.eps) * (
-            center + Fraction(self.k_gold * self.k_gold, self.n_items))
-        return 0 if center - slack <= g <= center + slack else 1
+        # |g - k|S|/n| <= eps*(k|S|/n + k^2/n), times n*q for eps = p/q
+        p, q = self._eps_pq
+        k_size = self.k_gold * len(s)
+        off = len(s & self._gold) * self.n_items - k_size
+        return 0 if abs(off) * q <= p * (k_size + self.k_gold * self.k_gold) else 1
 
-    def _noisy(self, s: frozenset) -> Fraction:
+    # k times the coverage values: integers, so no Fraction is built
+
+    def _scaled_true(self, s: frozenset) -> int:
+        return self.k_gold * self.k_gold + self.n_items * len(s & self._gold)
+
+    def _scaled_noisy(self, s: frozenset) -> int:
         if self._deviation(s) == 0:
-            return Fraction(self.k_gold + len(s))
-        return self._true(s)
+            return self.k_gold * (self.k_gold + len(s))
+        return self._scaled_true(s)
 
     def __repr__(self):
         return (f"PlantedGoldInstance(n_items={self.n_items}, "
@@ -189,22 +191,25 @@ def verify_oracle_validity(inst: PlantedGoldInstance, trials: int,
                            seed: int = 0) -> ValidityReport:
     """Check (1-eps')*noisy <= true <= (1+eps')*noisy on random queries.
 
-    Comparisons are exact rationals; the construction guarantees zero
-    violations, so any entry in the report is an implementation bug.
+    Comparisons are exact: with eps' = p/q, both values are scaled by k and
+    the bounds by q, so every side is an integer. The construction
+    guarantees zero violations, so any entry in the report is an
+    implementation bug.
     """
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    lo = Fraction(1) - Fraction(inst.eps_prime)
-    hi = Fraction(1) + Fraction(inst.eps_prime)
+    p, q = Fraction(inst.eps_prime).as_integer_ratio()
+    k = inst.k_gold
     violations = []
     for _ in range(trials):
         query = inst._nonempty(_sample_query(rng, inst.n_items))
-        noisy = inst._noisy(query)
-        true = inst._true(query)
-        if not (lo * noisy <= true <= hi * noisy):
+        noisy = inst._scaled_noisy(query)
+        true = inst._scaled_true(query)
+        if not ((q - p) * noisy <= q * true <= (q + p) * noisy):
             if len(violations) < 10:
-                violations.append((len(query), float(noisy), float(true)))
+                violations.append((len(query), float(Fraction(noisy, k)),
+                                   float(Fraction(true, k))))
     return ValidityReport(trials=trials, eps_prime=inst.eps_prime,
                           violations=tuple(violations))
 
@@ -244,7 +249,9 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
         nonlocal best_ratio, best_size
         if not query:
             return
-        ratio = float(Fraction(inst.true_coverage(query)) / inst.opt_value)
+        # true/opt as one correctly rounded integer division
+        ratio = (inst._scaled_true(inst._clean(query))
+                 / (inst.k_gold * inst.opt_value))
         if ratio > best_ratio:
             best_ratio = ratio
             best_size = len(query)

@@ -82,8 +82,8 @@ class FileEdgeSource(EdgeSourceBase):
                           blocks=self._read(load_edge_blocks))
 
     def _read(self, loader):
-        mode = "rb" if self.fmt == "binary" else "r"
-        with open(self.path, mode) as fp:
+        # text too is read as bytes, so the parser's ASCII check sees them
+        with open(self.path, "rb") as fp:
             yield from loader(fp, self.fmt)
 
     def shape(self):

@@ -10,11 +10,13 @@ set (when an attachment seed is supplied) or rejected.
 
 Incidence has one representation, `SetSystem` (per-set bitmasks): instances
 store only their masks, and sketches, views and materialized streams adapt
-to it. `SetSystem.from_incidence` is the only code that sets mask bits.
+to it. `SetSystem.from_incidence` is the only code that sets mask bits,
+apart from `gen_disjointness`, whose two-element masks are set directly.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import struct
@@ -80,18 +82,22 @@ class SetSystem:
 class CoverageInstance:
     """Immutable set system over elements 0..m-1, stored as n bitmasks.
 
-    Bit e of masks[u] is set iff element e belongs to set u. The sorted
-    adjacency views `sets` and `elements` are decoded from the masks on
-    first access and cached.
+    Bit e of masks[u] is set iff element e belongs to set u. `system`, the
+    masks as a SetSystem, is built once with the instance. `edge_count` and
+    the sorted adjacency views `sets` and `elements` are computed from the
+    masks on first access and cached.
     """
 
-    __slots__ = ("n", "m", "masks", "edge_count", "_sets", "_elements")
+    __slots__ = ("n", "m", "masks", "system", "_edge_count", "_sets",
+                 "_elements")
 
     def __init__(self, n: int, m: int, masks: tuple[int, ...]):
         self.n = n
         self.m = m
         self.masks = masks
-        self.edge_count = sum(map(int.bit_count, masks))
+        # The instance as a SetSystem: positions are element ids.
+        self.system = SetSystem(n, m, masks)
+        self._edge_count = None
         self._sets = None
         self._elements = None
 
@@ -121,9 +127,11 @@ class CoverageInstance:
         return cls(n, m, SetSystem.from_incidence(n, m, enumerate(owners)).masks)
 
     @property
-    def system(self) -> SetSystem:
-        """The instance as a SetSystem: positions are element ids."""
-        return SetSystem(self.n, self.m, self.masks)
+    def edge_count(self) -> int:
+        """Number of (set, element) memberships: the masks' total popcount."""
+        if self._edge_count is None:
+            self._edge_count = sum(map(int.bit_count, self.masks))
+        return self._edge_count
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -170,7 +178,7 @@ class CoverageInstance:
         return (self.n, self.m, self.masks) == (other.n, other.m, other.masks)
 
     def __hash__(self):
-        return hash((self.n, self.m, self.sets))
+        return hash((self.n, self.m, self.masks))
 
     def __repr__(self):
         return f"CoverageInstance(n={self.n}, m={self.m}, edges={self.edge_count})"
@@ -210,7 +218,7 @@ def _parse_text_line(line: str, line_no: int) -> Edge | None:
                          line=line_no, offset=where)
     out = []
     for start, tok in fields:
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"non-integer field {tok!r}", line=line_no, offset=start)
         val = int(tok)
         if val > MAX_ID:
@@ -489,10 +497,26 @@ def gen_disjointness(a_ids: Iterable[int], b_ids: Iterable[int], n: int) -> Cove
     edges, then element 1's) comes from edges_by_element(). A set id outside
     [0, n) raises IdRangeError naming the first such id, a_ids before b_ids,
     each ascending.
+
+    The masks are set here rather than by `SetSystem.from_incidence`: with
+    two elements, each set's mask is bit 0 and/or bit 1, and a sorted id
+    list is in range iff its two ends are. The exhaustive disjointness
+    sweep builds tens of millions of these instances, so per-id range
+    checks and per-element bit shifts are its main cost.
     """
     a = sorted(set(a_ids))
     b = sorted(set(b_ids))
     if not a or not b:
         raise ValueError("both id collections must be nonempty")
-    return CoverageInstance(
-        n, 2, SetSystem.from_incidence(n, 2, ((0, a), (1, b))).masks)
+    for ids in (a, b):
+        if ids[0] < 0:
+            raise IdRangeError(f"set id {ids[0]} outside [0, {n})")
+        if ids[-1] >= n:
+            bad = ids[bisect.bisect_left(ids, n)]
+            raise IdRangeError(f"set id {bad} outside [0, {n})")
+    masks = [0] * n
+    for u in a:
+        masks[u] = 1
+    for u in b:
+        masks[u] |= 2
+    return CoverageInstance(n, 2, tuple(masks))

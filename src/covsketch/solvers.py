@@ -534,9 +534,14 @@ def brute_force_kcover(target, k: int, *,
     work = math.comb(system.n, k)
     if work > guard:
         raise GuardExceededError(f"comb({system.n}, {k}) = {work} exceeds guard {guard}")
+    masks = system.masks
+    if k == 1:
+        # the single sets in order: the first maximum popcount wins the tie
+        counts = [mask.bit_count() for mask in masks]
+        best_value = max(counts)
+        return best_value, (counts.index(best_value),)
     best_value = -1
     best_combo: tuple[int, ...] = ()
-    masks = system.masks
     for combo in itertools.combinations(range(system.n), k):
         mask = 0
         for u in combo:

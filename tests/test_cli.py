@@ -473,6 +473,22 @@ def test_exit_code_io_and_parse(tmp_path, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("field", ["\u00b2".encode(), b"\xff"],
+                         ids=["superscript-two", "byte-ff"])
+def test_exit_code_non_ascii_text_field(tmp_path, capsys, monkeypatch, field):
+    # '²' passes str.isdigit and 0xff is no UTF-8; both are parse errors
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0\n1 " + field + b"\n")
+    code, _, err = run(capsys, "kcover", "--input", str(bad), "--k", "1")
+    assert code == 3
+    assert "input error" in err and "(line 2, offset 2)" in err
+    import sys
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    code, _, err = run(capsys, "kcover", "--input", "-", "--n", "2", "--k", "1")
+    assert code == 3
+    assert "input error" in err and "(line 2, offset 2)" in err
+
+
 def test_exit_code_element_id_beyond_32_bits(tmp_path, capsys, monkeypatch):
     from covsketch import cli
     from covsketch.harness import OnceEdgeSource

@@ -5,8 +5,11 @@ for every candidate in lexicographic order it merges the k per-set sketches
 pairwise (sorted union, cut to capacity), takes the median of the
 per-repetition estimates, and keeps the first strict maximum. The numpy
 enumeration must choose the same sets with a bit-identical estimate. The
-hardness oracles are checked against their former per-call versions, and
-`gen_disjointness` against `from_edges` on the former edge list.
+hardness oracles are checked against their former per-call versions (the
+band and validity checks against their `Fraction` formulas),
+`gen_disjointness` against `from_edges` on the former edge list and against
+its former `from_incidence` build, and the k = 1 scan of
+`brute_force_kcover` against the `combinations` loop.
 """
 
 import math
@@ -22,9 +25,10 @@ from hypothesis import strategies as st
 
 from covsketch import distinct
 from covsketch import (CoverageInstance, DistinctSketch, PlantedGoldInstance,
-                       build_per_set_sketches, gen_disjointness, gen_random,
-                       kcover_via_l0)
-from covsketch.errors import IdRangeError
+                       SetSystem, brute_force_kcover, build_per_set_sketches,
+                       gen_disjointness, gen_planted_cover, gen_random,
+                       kcover_via_l0, verify_oracle_validity)
+from covsketch.errors import ConfigError, GuardExceededError, IdRangeError
 from covsketch.hardness import _sample_query
 from covsketch.hashing import unit_from_u64
 
@@ -217,3 +221,197 @@ def test_gen_disjointness_matches_from_edges(n, data):
     assert (new.n, new.m, new.masks, new.edge_count) == (
         old.n, old.m, old.masks, old.edge_count)
     assert list(new.edges_by_element()) == list(old.edges_by_element())
+
+
+def old_gen_disjointness(a_ids, b_ids, n):
+    a = sorted(set(a_ids))
+    b = sorted(set(b_ids))
+    if not a or not b:
+        raise ValueError("both id collections must be nonempty")
+    return CoverageInstance(
+        n, 2, SetSystem.from_incidence(n, 2, ((0, a), (1, b))).masks)
+
+
+def _outcome(build, *args):
+    try:
+        inst = build(*args)
+    except (IdRangeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return inst.n, inst.m, inst.masks, inst.edge_count
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10), data=st.data())
+def test_gen_disjointness_matches_from_incidence_build(n, data):
+    ids = st.lists(st.integers(-3, n + 3), max_size=2 * n + 2)
+    a, b = data.draw(ids), data.draw(ids)
+    assert _outcome(gen_disjointness, a, b, n) == _outcome(
+        old_gen_disjointness, a, b, n)
+
+
+@pytest.mark.parametrize("a, b, n, bad", [
+    ([-2, 0, -5], [1], 3, -5),       # the smallest negative id
+    ([0, 4, 3, 7], [1], 3, 3),       # the first id >= n, not the largest
+    ([0], [2, 9, -1], 3, -1),        # a is fine, so b's first bad id
+    ([5, -1], [-4, 6], 3, -1),       # bad ids in both: a's comes first
+    ([3, 4], [9], 3, 3),
+    ([0], [0], 0, 0),                # n = 0 has no valid id
+])
+def test_gen_disjointness_names_the_first_bad_id(a, b, n, bad):
+    with pytest.raises(IdRangeError) as err:
+        gen_disjointness(a, b, n)
+    assert str(err.value) == f"set id {bad} outside [0, {n})"
+    with pytest.raises(IdRangeError) as old:
+        old_gen_disjointness(a, b, n)
+    assert str(old.value) == str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# brute_force_kcover: the k = 1 scan
+
+
+def combinations_kcover(masks, k):
+    """The former enumeration: first strict maximum over combinations."""
+    best_value, best_combo = -1, ()
+    for combo in combinations(range(len(masks)), k):
+        mask = 0
+        for u in combo:
+            mask |= masks[u]
+        if mask.bit_count() > best_value:
+            best_value, best_combo = mask.bit_count(), combo
+    return best_value, best_combo
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks=st.lists(st.integers(0, 15), min_size=1, max_size=12))
+def test_k1_scan_matches_combinations_loop(masks):
+    # a 4-bit universe makes popcount ties the common case
+    system = SetSystem(len(masks), 4, tuple(masks))
+    assert brute_force_kcover(system, 1) == combinations_kcover(masks, 1)
+    inst = CoverageInstance(len(masks), 4, tuple(masks))
+    assert brute_force_kcover(inst, 1) == combinations_kcover(masks, 1)
+
+
+def test_k1_scan_ties_and_empty_sets():
+    assert brute_force_kcover(SetSystem(3, 1, (0, 0, 0)), 1) == (0, (0,))
+    assert brute_force_kcover(SetSystem(4, 4, (1, 6, 5, 3)), 1) == (2, (1,))
+    assert brute_force_kcover(SetSystem(3, 4, (1, 2, 15)), 1) == (4, (2,))
+
+
+def test_k1_range_and_guard_errors():
+    system = SetSystem(5, 3, (1, 2, 4, 3, 7))
+    for k in (0, -1, 6):
+        with pytest.raises(ConfigError, match=rf"k must lie in \[1, n=5\], got {k}"):
+            brute_force_kcover(system, k)
+    with pytest.raises(GuardExceededError, match=r"comb\(5, 1\) = 5 exceeds guard 4"):
+        brute_force_kcover(system, 1, guard=4)
+    assert brute_force_kcover(system, 1, guard=5) == (3, (4,))
+    # the k-range check comes before the guard
+    with pytest.raises(ConfigError):
+        brute_force_kcover(system, 0, guard=0)
+
+
+# ---------------------------------------------------------------------------
+# The planted-gold band in integers
+
+
+def _queries_by_gold_count(n, gold):
+    """One query per (size, gold count) pair that n items and the gold allow."""
+    plain = [i for i in range(n) if i not in gold]
+    gold = sorted(gold)
+    for size in range(1, n + 1):
+        for g in range(max(0, size - len(plain)), min(size, len(gold)) + 1):
+            yield gold[:g] + plain[:size - g]
+
+
+@pytest.mark.parametrize("eps", [0.125, 0.25, 0.5, 0.75, 0.1, 0.3, 1 / 3, 0.9999])
+def test_integer_band_matches_fraction_formula(eps):
+    edges = 0
+    for n in range(1, 17):
+        for k in range(1, n + 1):
+            inst = PlantedGoldInstance.from_gold(n, range(0, 2 * k, 2) if 2 * k <= n
+                                                 else range(k), eps)
+            for query in _queries_by_gold_count(n, inst.audit_gold()):
+                assert inst.deviation_oracle(query) == old_deviation(inst, query)
+                g = inst.gold_count(query)
+                center = Fraction(k * len(query), n)
+                slack = Fraction(eps) * (center + Fraction(k * k, n))
+                edges += g in (center - slack, center + slack)
+    if eps in (0.125, 0.25, 0.5, 0.75):
+        # dyadic eps puts some gold counts exactly on a band edge
+        assert edges > 0
+
+
+def test_integer_band_on_exact_edges():
+    # n = 8, k = 4, |S| = 4, eps = 1/4: center 2, slack 1, band [1, 3]
+    inst = PlantedGoldInstance.from_gold(8, [0, 1, 2, 3], 0.25)
+    for g, bit in ((0, 1), (1, 0), (2, 0), (3, 0), (4, 1)):
+        query = list(range(g)) + list(range(4, 8 - g))
+        assert len(query) == 4 and inst.gold_count(query) == g
+        assert inst.deviation_oracle(query) == bit == old_deviation(inst, query)
+
+
+def old_validity(inst, trials, seed, noisy_of=old_noisy):
+    """The former validity loop: Fraction bounds times Fraction values."""
+    rng = np.random.default_rng(seed)
+    lo = Fraction(1) - Fraction(inst.eps_prime)
+    hi = Fraction(1) + Fraction(inst.eps_prime)
+    violations = []
+    for _ in range(trials):
+        query = _sample_query(rng, inst.n_items)
+        noisy, true = noisy_of(inst, query), old_true(inst, query)
+        if not (lo * noisy <= true <= hi * noisy) and len(violations) < 10:
+            violations.append((len(set(query)), float(noisy), float(true)))
+    return violations
+
+
+@pytest.mark.parametrize("n, k, eps", [(1, 1, 0.5), (30, 7, 0.3), (200, 20, 0.1),
+                                       (64, 64, 0.6)])
+def test_validity_matches_fraction_check(n, k, eps):
+    inst = PlantedGoldInstance(n, k, eps, seed=n + k)
+    report = verify_oracle_validity(inst, 300, seed=5)
+    assert report.trials == 300
+    assert list(report.violations) == old_validity(inst, 300, 5) == []
+
+
+def test_validity_reports_a_wrong_noisy_value(monkeypatch):
+    inst = PlantedGoldInstance(40, 8, 0.2, seed=3)
+    # a noisy oracle answering 0 violates the upper bound on every query;
+    # the first ten are reported as (size, noisy, true) floats
+    monkeypatch.setattr(PlantedGoldInstance, "_scaled_noisy", lambda self, s: 0)
+    report = verify_oracle_validity(inst, 25, seed=9)
+    assert len(report.violations) == 10 and not report.ok
+    assert list(report.violations) == old_validity(
+        inst, 25, 9, noisy_of=lambda inst, q: Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# CoverageInstance: the kept SetSystem, lazy edge_count, hash
+
+
+def _instances():
+    yield gen_random(9, 40, 0.3, seed=4)
+    yield gen_planted_cover(12, 30, 3, seed=6)[0]
+    yield gen_disjointness([0, 3, 5], [5, 6], 7)
+    yield CoverageInstance.from_edges(4, 6, [(0, 0), (1, 1), (2, 2), (3, 3),
+                                             (0, 4), (2, 5), (0, 0)])
+    yield CoverageInstance(3, 70, (0, (1 << 70) - 1, 1 << 69))
+
+
+def test_system_is_kept_and_edge_count_is_the_popcount():
+    for inst in _instances():
+        assert inst.system is inst.system
+        assert inst.system == SetSystem(inst.n, inst.m, inst.masks)
+        assert inst.edge_count == sum(bin(mask).count("1") for mask in inst.masks)
+        assert inst.edge_count == sum(len(members) for members in inst.sets)
+        assert inst.edge_count == len(list(inst.edges_by_set()))
+
+
+def test_hash_follows_equality():
+    for inst in _instances():
+        twin = CoverageInstance(inst.n, inst.m, tuple(inst.masks))
+        assert twin == inst and hash(twin) == hash(inst)
+        assert hash(inst) == hash((inst.n, inst.m, inst.masks))
+    a = gen_disjointness([1, 2], [2], 3)
+    b = CoverageInstance.from_edges(3, 2, [(1, 0), (2, 0), (2, 1)])
+    assert a == b and len({a, b}) == 1

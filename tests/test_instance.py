@@ -61,6 +61,13 @@ def test_load_text_rejects_non_ascii_bytes():
         list(load_edges(io.BytesIO(b"0 1\n\xff 2\n")))
 
 
+def test_load_text_rejects_non_ascii_digits():
+    # str.isdigit accepts '²'; only ASCII digits are ids
+    with pytest.raises(ParseError) as err:
+        list(load_edges(io.StringIO("0 1\n4 \u00b2\n")))
+    assert (err.value.line, err.value.offset) == (2, 2)
+
+
 def test_load_unknown_format():
     with pytest.raises(ValueError):
         list(load_edges(io.StringIO(""), format="csv"))

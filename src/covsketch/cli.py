@@ -25,9 +25,8 @@ from .harness import (EVAL_CSV_HEADER, SEED_BUILDER, SEED_DEMO, SEED_GENERATOR,
                       RunReport, emit_report, parse_gen_spec, recount_coverage,
                       scan_shape, solution_json)
 from .hashing import derive_seed
-from .instance import (EdgeStream, load_edge_blocks, load_edges,
-                       materialize_system, write_edges_binary,
-                       write_edges_text, write_metadata)
+from .instance import (EdgeStream, load_edge_blocks, materialize_system,
+                       write_edges_binary, write_edges_text, write_metadata)
 from .sketch import SketchParams, StreamingSketchBuilder, save_sketch
 from .solvers import (OutlierParams, brute_force_kcover, brute_force_setcover,
                       greedy_kcover, kcover_via_sketch, setcover_multipass,
@@ -60,8 +59,7 @@ def _open_source(args, master_seed):
         # stream without a buffer (a replaced sys.stdin) is read as is
         stream = getattr(sys.stdin, "buffer", sys.stdin)
         return OnceEdgeSource(
-            EdgeStream(edges=load_edges(stream, args.format),
-                       blocks=load_edge_blocks(stream, args.format)), "stdin")
+            EdgeStream(load_edge_blocks(stream, args.format)), "stdin")
     return FileEdgeSource(args.input, args.format)
 
 

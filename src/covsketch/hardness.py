@@ -183,6 +183,7 @@ class ValidityReport:
 
 
 def _sample_query(rng, n):
+    """A uniform-size random query: distinct items in [0, n), never empty."""
     size = int(rng.integers(1, n + 1))
     return rng.choice(n, size=size, replace=False).tolist()
 
@@ -203,7 +204,7 @@ def verify_oracle_validity(inst: PlantedGoldInstance, trials: int,
     k = inst.k_gold
     violations = []
     for _ in range(trials):
-        query = inst._nonempty(_sample_query(rng, inst.n_items))
+        query = frozenset(_sample_query(rng, inst.n_items))  # valid as drawn
         noisy = inst._scaled_noisy(query)
         true = inst._scaled_true(query)
         if not ((q - p) * noisy <= q * true <= (q + p) * noisy):
@@ -245,20 +246,18 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
     best_ratio = 0.0
     best_size = None
 
-    def observe(query):
+    def observe(query: frozenset):
+        # scores a query this demo drew, so it is not validated again
         nonlocal best_ratio, best_size
-        if not query:
-            return
         # true/opt as one correctly rounded integer division
-        ratio = (inst._scaled_true(inst._clean(query))
-                 / (inst.k_gold * inst.opt_value))
+        ratio = inst._scaled_true(query) / (inst.k_gold * inst.opt_value)
         if ratio > best_ratio:
             best_ratio = ratio
             best_size = len(query)
 
     if strategy == "random_subsets":
         while queries < budget and not found:
-            query = _sample_query(rng, inst.n_items)
+            query = frozenset(_sample_query(rng, inst.n_items))
             queries += 1
             found = inst.deviation_oracle(query) == 1
             observe(query)
@@ -277,7 +276,7 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
                 # value != k + |query| iff that query's deviation bit fired
                 if value != inst.k_gold + len(held) + 1:
                     found = True
-                observe(held + [cand])
+                observe(frozenset(held + [cand]))
                 if best_value is None or value > best_value:
                     best_value = value
                     best_item = cand

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
+# load_edges is unused here; perfbench/layers.py patches it in --trace 1 runs
 from .instance import (Edge, EdgeStream, edge_blocks, gen_disjointness,
                        gen_planted_cover, load_edge_blocks, load_edges,
                        random_edge_blocks, read_metadata)
@@ -78,13 +79,12 @@ class FileEdgeSource(EdgeSourceBase):
             pass
 
     def _open(self):
-        return EdgeStream(edges=self._read(load_edges),
-                          blocks=self._read(load_edge_blocks))
+        return EdgeStream(self._read())
 
-    def _read(self, loader):
+    def _read(self):
         # text too is read as bytes, so the parser's ASCII check sees them
         with open(self.path, "rb") as fp:
-            yield from loader(fp, self.fmt)
+            yield from load_edge_blocks(fp, self.fmt)
 
     def shape(self):
         if self._meta:
@@ -114,10 +114,10 @@ class GenEdgeSource(EdgeSourceBase):
 
     def _open(self):
         if self._inst is not None:
-            return EdgeStream(edges=self._inst.edges_by_element())
+            return EdgeStream(edge_blocks(self._inst.edges_by_element()))
         spec = self.spec
-        return EdgeStream(blocks=random_edge_blocks(spec["n"], spec["m"],
-                                                    spec["p"], self.seed))
+        return EdgeStream(random_edge_blocks(spec["n"], spec["m"], spec["p"],
+                                             self.seed))
 
     def shape(self):
         return (self.spec["n"], self.spec["m"])
@@ -126,7 +126,8 @@ class GenEdgeSource(EdgeSourceBase):
 class OnceEdgeSource(EdgeSourceBase):
     """Non-replayable wrapper (stdin); a second open is a state error.
 
-    Takes an EdgeStream, or any iterable of edges.
+    Takes an EdgeStream, or any iterable of edges, which it reads as
+    blocks; its one open returns that EdgeStream.
     """
 
     replayable = False
@@ -134,7 +135,7 @@ class OnceEdgeSource(EdgeSourceBase):
     def __init__(self, edges: Iterable[Edge], label: str):
         super().__init__()
         if not isinstance(edges, EdgeStream):
-            edges = EdgeStream(edges=iter(edges))
+            edges = EdgeStream(edge_blocks(edges))
         self._stream = edges
         self.label = label
         self._used = False

@@ -1,10 +1,11 @@
 """Coverage instances: bipartite set systems, edge-stream I/O, generators.
 
 An instance is a bipartite graph between n sets (ids 0..n-1) and m elements
-(ids 0..m-1). Edges arrive as (set_id, element_id) pairs; loaders are
-streaming and never materialize the whole input; bulk consumers read them
-as blocks, pairs of int64 arrays (set ids, element ids) of at most
-BLOCK_EDGES rows. Every element of a constructed instance belongs to at
+(ids 0..m-1). Edges arrive as (set_id, element_id) pairs. Loaders stream
+and never materialize the whole input: they yield blocks, pairs of int64
+arrays (set ids, element ids) of at most BLOCK_EDGES rows, and an
+`EdgeStream` is one open of such a block view; its edges one at a time are
+the blocks' flatten. Every element of a constructed instance belongs to at
 least one set: isolated elements are either attached to a uniformly random
 set (when an attachment seed is supplied) or rejected.
 
@@ -193,65 +194,29 @@ def _rows(bits: np.ndarray) -> tuple[tuple[int, ...], ...]:
 # Edge-stream I/O
 
 
-def _parse_text_line(line: str, line_no: int) -> Edge | None:
-    if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
-    if not line.strip():
-        return None
-    if line.lstrip().startswith("#"):
-        return None
-    fields = []
-    i = 0
-    while i < len(line):
-        if line[i] == " ":
-            i += 1
-            continue
-        start = i
-        while i < len(line) and line[i] != " ":
-            i += 1
-        fields.append((start, line[start:i]))
-    if len(fields) != 2:
-        where = fields[2][0] if len(fields) > 2 else len(line)
-        raise ParseError(f"expected 'set_id element_id', got {len(fields)} field(s)",
-                         line=line_no, offset=where)
-    out = []
-    for start, tok in fields:
-        if not (tok.isascii() and tok.isdigit()):
-            raise ParseError(f"non-integer field {tok!r}", line=line_no, offset=start)
-        val = int(tok)
-        if val > MAX_ID:
-            raise IdRangeError(f"id {val} exceeds 32-bit range (line {line_no})")
-        out.append(val)
-    return (out[0], out[1])
+_TEXT_CHUNK = 64 * 1024     # text bytes read at a time
+_SPACE = np.array([c < 128 and chr(c).isspace() for c in range(256)])
+_POW10 = 10 ** np.arange(11, dtype=np.int64)
 
 
 def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
     """Yield (set ids, element ids) int64 array blocks from an edge stream.
 
     Text: one 'set_id element_id' pair per line, '#' comment lines and blank
-    lines skipped. Binary: consecutive little-endian u32 pairs. Malformed
-    input raises ParseError carrying the byte position, after every block
-    before it has been yielded.
+    lines skipped. LF or CRLF ends a line (a lone CR does not), and a str
+    stream is read as its UTF-8 bytes. Binary: consecutive little-endian u32
+    pairs. Malformed input raises ParseError carrying the byte position,
+    after every block before it has been yielded.
     """
     if format == "text":
-        batch: list[Edge] = []
-        for line_no, line in enumerate(stream, start=1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("ascii")
-                except UnicodeDecodeError as exc:
-                    raise ParseError(f"non-ASCII byte: {exc.reason}",
-                                     line=line_no, offset=exc.start) from None
-            edge = _parse_text_line(line, line_no)
-            if edge is not None:
-                batch.append(edge)
-                if len(batch) == BLOCK_EDGES:
-                    yield _block_from_pairs(batch)
-                    batch = []
-        if batch:
-            yield _block_from_pairs(batch)
+        held = np.empty((0, 2), dtype=np.int64)
+        for pairs in _text_pairs(stream):
+            held = np.concatenate((held, pairs))
+            while len(held) >= BLOCK_EDGES:
+                yield held[:BLOCK_EDGES, 0], held[:BLOCK_EDGES, 1]
+                held = held[BLOCK_EDGES:]
+        if len(held):
+            yield held[:, 0], held[:, 1]
     elif format == "binary":
         size = BLOCK_EDGES * _BIN_EDGE.size
         offset = 0
@@ -275,18 +240,84 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
         raise ValueError(f"unknown edge format {format!r}")
 
 
+def _text_pairs(stream: IO) -> Iterator[np.ndarray]:
+    """A text stream's edges as (edges, 2) int64 arrays, one per
+    _TEXT_CHUNK bytes read and cut after the last LF. The first bad line
+    raises after the edges before it have been yielded. A line's fields are
+    its runs of bytes other than ' ', its LF and one CR before that; it is
+    skipped when it has no byte outside _SPACE or its first one is '#'.
+    """
+    line_no, carry = 1, b""
+    while True:
+        chunk = stream.read(_TEXT_CHUNK)
+        if isinstance(chunk, str):
+            chunk = chunk.encode()
+        if not chunk and not carry:
+            return
+        data = carry + (chunk or b"\n")     # the last line needs no LF
+        cut = data.rfind(b"\n") + 1
+        data, carry = data[:cut], data[cut:]
+        if not data:
+            continue
+        b = np.frombuffer(data, dtype=np.uint8)
+        nl = np.flatnonzero(b == 10)
+        heads = np.concatenate(([0], nl[:-1] + 1))
+        tails = nl - (b[nl - 1] == 13)      # b[-1] is an LF, never a CR
+        field = (b != 32) & (b != 10)
+        field[tails] = False
+        flips = np.flatnonzero(field != np.concatenate(([False], field[:-1])))
+        starts, ends = flips[::2], flips[1::2]      # b[-1] ends the last field
+        field_line = np.searchsorted(nl, starts)
+        fields = np.bincount(field_line, minlength=nl.size)
+        solid = np.append(np.flatnonzero(~_SPACE[b]), b.size - 1)
+        first = solid[np.searchsorted(solid, heads)]
+        data_line = (first < nl) & (b[first] != ord("#"))
+
+        # a field is an id: ASCII digits worth at most MAX_ID
+        lengths = ends - starts
+        at = np.flatnonzero(field)
+        power = np.repeat(ends - 1, lengths) - at
+        digit = b[at].astype(np.int64) - 48
+        firsts = np.cumsum(lengths) - lengths
+        not_int = np.logical_or.reduceat((digit < 0) | (digit > 9), firsts)
+        value = np.add.reduceat(digit * _POW10[np.minimum(power, 10)], firsts)
+        # a nonzero digit worth 10**10 or more makes an id too big to sum
+        top = np.maximum.reduceat(np.where(digit != 0, power, 0), firsts)
+        too_big = (top >= 10) | (value > MAX_ID)
+
+        bad_line = data_line & (fields != 2)
+        bad_line[np.searchsorted(nl, np.flatnonzero(b >= 128))] = True
+        bad_line[field_line[data_line[field_line] & (not_int | too_big)]] = True
+        bad = int(np.argmax(np.append(bad_line, True)))
+        yield value[data_line[field_line] & (field_line < bad)].reshape(-1, 2)
+        line_no += bad
+        if bad == nl.size:
+            continue
+
+        # the bad line's first error, in the order a line reader meets them
+        head = int(heads[bad])
+        try:
+            data[head:nl[bad]].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"non-ASCII byte: {exc.reason}",
+                             line=line_no, offset=exc.start) from None
+        i = int(np.searchsorted(field_line, bad))
+        count = int(fields[bad])
+        if count != 2:
+            where = starts[i + 2] if count > 2 else tails[bad]
+            raise ParseError(f"expected 'set_id element_id', got {count} field(s)",
+                             line=line_no, offset=int(where) - head)
+        j = i if not_int[i] or too_big[i] else i + 1
+        tok = data[starts[j]:ends[j]].decode("ascii")
+        if not_int[j]:
+            raise ParseError(f"non-integer field {tok!r}",
+                             line=line_no, offset=int(starts[j]) - head)
+        raise IdRangeError(f"id {int(tok)} exceeds 32-bit range (line {line_no})")
+
+
 def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
     """Yield (set_id, element_id) pairs: `load_edge_blocks`, one edge at a time."""
-    for u, v in load_edge_blocks(stream, format):
-        yield from zip(u.tolist(), v.tolist())
-
-
-def _block_from_pairs(pairs: list[Edge]) -> EdgeBlock:
-    try:
-        block = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        raise IdRangeError("an id in the edge batch exceeds the 64-bit range") from None
-    return block[:, 0], block[:, 1]
+    return iter(EdgeStream(load_edge_blocks(stream, format)))
 
 
 def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
@@ -298,35 +329,32 @@ def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
         return
     it = iter(edges)
     while batch := list(itertools.islice(it, BLOCK_EDGES)):
-        yield _block_from_pairs(batch)
+        try:
+            block = np.array(batch, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise IdRangeError("an id in the edge batch exceeds the 64-bit range") from None
+        yield block[:, 0], block[:, 1]
 
 
 class EdgeStream:
-    """One open of an edge source.
+    """One open of an edge source: its edges as int64 array blocks.
 
-    Iterating yields (set_id, element_id) tuples; `blocks()` yields the same
-    edges as int64 array blocks (see `load_edge_blocks`). A stream is read
-    once, one way or the other. Either view can be given; the other is
-    derived from it.
+    `blocks()` yields the blocks (see `load_edge_blocks`); iterating yields
+    their flatten, the same edges as (set_id, element_id) tuples. A stream
+    is read once, one way or the other.
     """
 
-    __slots__ = ("_edges", "_blocks")
+    __slots__ = ("_blocks",)
 
-    def __init__(self, edges: Iterable[Edge] | None = None,
-                 blocks: Iterable[EdgeBlock] | None = None):
-        self._edges = edges
+    def __init__(self, blocks: Iterable[EdgeBlock]):
         self._blocks = blocks
 
     def __iter__(self) -> Iterator[Edge]:
-        if self._edges is not None:
-            return iter(self._edges)
-        return (edge for u, v in self._blocks
-                for edge in zip(u.tolist(), v.tolist()))
+        for u, v in self._blocks:
+            yield from zip(u.tolist(), v.tolist())
 
     def blocks(self) -> Iterator[EdgeBlock]:
-        if self._blocks is not None:
-            return iter(self._blocks)
-        return edge_blocks(self._edges)
+        return iter(self._blocks)
 
 
 def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
@@ -438,8 +466,7 @@ def random_edge_blocks(n: int, m: int, p_e: float, seed: int
 
 def random_edge_stream(n: int, m: int, p_e: float, seed: int) -> Iterator[Edge]:
     """`random_edge_blocks`, one (set_id, element_id) edge at a time."""
-    for u, v in random_edge_blocks(n, m, p_e, seed):
-        yield from zip(u.tolist(), v.tolist())
+    return iter(EdgeStream(random_edge_blocks(n, m, p_e, seed)))
 
 
 def gen_random(n: int, m: int, p_e: float, seed: int) -> CoverageInstance:

@@ -482,7 +482,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
         opts = OutlierParams.derive(eps=eps, lam=params.lam,
                                     c=max(1.0, params.c_prime), n=n)
         passes += 1
-        sol_i = setcover_outliers(lambda: EdgeStream(blocks=residual_blocks()),
+        sol_i = setcover_outliers(lambda: EdgeStream(residual_blocks()),
                                   n, opts, derive_seed(seed, i))
         picks = np.array(sorted(set(sol_i.chosen)), dtype=np.int64)
         passes += 1
@@ -502,7 +502,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
                            "newly_covered": newly})
 
     passes += 1
-    system = materialize_system(EdgeStream(blocks=residual_blocks()), n)
+    system = materialize_system(EdgeStream(residual_blocks()), n)
     if system.universe:
         tail = greedy_setcover(system)
         if tail.covered_on_target < system.universe:

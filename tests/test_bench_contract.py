@@ -1,0 +1,41 @@
+"""What the benchmark under perfbench/ relies on in the package.
+
+perfbench/workloads.py builds the exact_oracles reference by iterating a
+generator source's stream as (set_id, element_id) tuples, and
+perfbench/layers.py patches `covsketch.harness.load_edges` in traced
+(--trace 1) runs. The benchmark's files stay as they are, so the package
+keeps both.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from covsketch import harness, random_edge_stream, write_edges_binary
+from covsketch.harness import GenEdgeSource, parse_gen_spec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["counts", "spans"])
+def test_trace_targets_patch_and_restore(monkeypatch, record):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer, patched
+    original = vars(harness)["load_edges"]
+    edges = [(0, 1), (2, 3), (4, 5)]
+    buf = io.BytesIO()
+    write_edges_binary(buf, edges)
+    with patched(layers.targets(Tracer(record=record))):
+        buf.seek(0)
+        assert list(harness.load_edges(buf, "binary")) == edges
+    assert vars(harness)["load_edges"] is original
+
+
+def test_generator_source_stream_iterates_as_tuples():
+    src = GenEdgeSource(parse_gen_spec("random:n=20,m=300,p=0.2"), 5)
+    edges = list(src())
+    assert edges == list(random_edge_stream(20, 300, 0.2, 5))
+    assert all(type(e) is tuple and type(e[0]) is type(e[1]) is int for e in edges)
+    assert src.opens == 1

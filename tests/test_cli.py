@@ -151,6 +151,35 @@ def test_build_sketch_scans_shape_when_unknown(tmp_path, capsys):
     assert payload["passes"] == 2
 
 
+def test_build_sketch_text_and_binary_files_give_identical_bytes(tmp_path, capsys):
+    # more than two blocks of edges, so text parsing crosses chunk and block
+    # boundaries; the budget binds, so the builder evicts
+    from covsketch import write_edges_binary
+    from covsketch.instance import BLOCK_EDGES
+    edges = list(random_edge_stream(50, 3000, 0.9, 11))
+    assert len(edges) > 2 * BLOCK_EDGES
+    lines = ["# header\r\n"]
+    for i, (u, v) in enumerate(edges):
+        if i % 997 == 0:
+            lines.append("  # a comment\n")
+        lines.append(f"  {u}   {v} \r\n" if i % 3 else f"{u} {v}\n")
+    text, binary = tmp_path / "e.txt", tmp_path / "e.bin"
+    text.write_bytes("".join(lines).encode())
+    with open(binary, "wb") as fp:
+        write_edges_binary(fp, edges)
+    outs = []
+    for path, fmt in ((text, "text"), (binary, "binary")):
+        out = tmp_path / f"{fmt}.sk"
+        payload = run_json(capsys, "build-sketch", "--input", str(path),
+                           "--format", fmt, "--n", "50", "--k", "3", "--seed", "4",
+                           "--degree-cap", "8", "--edge-budget", "2000",
+                           "--out", str(out))
+        assert payload["sketch_stats"]["builder"]["budget_bound"] is True
+        assert payload["sketch_stats"]["input_edges"] == len(edges)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 BUILDER_STATS_KEYS = {"seen_edges", "dropped_on_sight", "dropped_duplicate_or_cap",
                       "evicted_elements", "evicted_edges", "budget_bound",
                       "threshold"}

@@ -3,14 +3,19 @@
 import io
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsketch import (CoverageInstance, brute_force_kcover, brute_force_setcover,
                        gen_disjointness, gen_planted_cover, gen_random,
                        load_edges, random_edge_stream, read_metadata,
                        write_edges_binary, write_edges_text, write_metadata)
 from covsketch.errors import (IdRangeError, IsolatedElementError, ParseError)
-from covsketch.instance import BLOCK_EDGES, edge_blocks, load_edge_blocks
+from covsketch import instance
+from covsketch.instance import (BLOCK_EDGES, MAX_ID, edge_blocks,
+                                load_edge_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +84,153 @@ def test_write_text_round_trip():
     assert write_edges_text(buf, edges) == 3
     assert buf.getvalue() == "0 1\n3 2\n0 0\n"
     assert list(load_edges(io.StringIO(buf.getvalue()))) == edges
+
+
+# The former line-by-line text parser, kept as the reference that the
+# byte-level parser in `load_edge_blocks` must match, blocks and errors alike.
+
+
+def _parse_text_line(line, line_no):
+    if line.endswith("\n"):
+        line = line[:-1]
+    if line.endswith("\r"):
+        line = line[:-1]
+    if not line.strip():
+        return None
+    if line.lstrip().startswith("#"):
+        return None
+    fields = []
+    i = 0
+    while i < len(line):
+        if line[i] == " ":
+            i += 1
+            continue
+        start = i
+        while i < len(line) and line[i] != " ":
+            i += 1
+        fields.append((start, line[start:i]))
+    if len(fields) != 2:
+        where = fields[2][0] if len(fields) > 2 else len(line)
+        raise ParseError(f"expected 'set_id element_id', got {len(fields)} field(s)",
+                         line=line_no, offset=where)
+    out = []
+    for start, tok in fields:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"non-integer field {tok!r}", line=line_no, offset=start)
+        val = int(tok)
+        if val > MAX_ID:
+            raise IdRangeError(f"id {val} exceeds 32-bit range (line {line_no})")
+        out.append(val)
+    return (out[0], out[1])
+
+
+def _reference_blocks(stream):
+    batch = []
+    for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"non-ASCII byte: {exc.reason}",
+                                 line=line_no, offset=exc.start) from None
+        edge = _parse_text_line(line, line_no)
+        if edge is not None:
+            batch.append(edge)
+            if len(batch) == instance.BLOCK_EDGES:
+                yield _pairs_block(batch)
+                batch = []
+    if batch:
+        yield _pairs_block(batch)
+
+
+def _pairs_block(batch):
+    block = np.array(batch, dtype=np.int64).reshape(-1, 2)
+    return block[:, 0], block[:, 1]
+
+
+def _outcome(blocks):
+    """The blocks a parser yields, then its error as comparable fields."""
+    out = []
+    try:
+        for u, v in blocks:
+            out.append((u.size, u.dtype, v.dtype, u.tolist(), v.tolist()))
+    except (ParseError, IdRangeError) as exc:
+        return out, (type(exc), str(exc), getattr(exc, "line", None),
+                     getattr(exc, "offset", None))
+    return out, None
+
+
+_FIELDS = st.one_of(
+    st.integers(0, 2**32 + 5).map(lambda i: str(i).encode()),
+    st.sampled_from([b"0", b"007", b"0000000000001", b"4294967295",
+                     b"4294967296", b"04294967295", b"9999999999",
+                     b"10000000000", b"12345678901", b"99999999999", b"#",
+                     b"x", b"-1", b"1\t", b"\t2", b"3\x0b", b"\x1c",
+                     b"\xff", b"\xc2\xb2", b"4\x80"]))
+_GAPS = st.sampled_from([b" ", b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x1c", b""])
+_ENDS = st.sampled_from([b"\n", b"\n", b"\r\n", b"\r\r\n", b"\r", b"\n\r"])
+
+
+@st.composite
+def _text_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "any", "blank",
+                                     "comment"]))
+        if kind == "edge":
+            body = (draw(st.sampled_from([b"", b" ", b"  "]))
+                    + draw(st.integers(0, 2**32 - 1).map(lambda i: str(i).encode()))
+                    + draw(st.sampled_from([b" ", b"   "]))
+                    + draw(st.integers(0, 2**32 - 1).map(lambda i: str(i).encode()))
+                    + draw(st.sampled_from([b"", b" "])))
+        elif kind == "any":
+            parts = draw(st.lists(st.tuples(_GAPS, _FIELDS), max_size=4))
+            body = b"".join(g + f for g, f in parts) + draw(_GAPS)
+        elif kind == "blank":
+            body = b"".join(draw(st.lists(_GAPS, max_size=3)))
+        else:
+            body = (b"".join(draw(st.lists(_GAPS, max_size=2))) + b"#"
+                    + b"".join(draw(st.lists(_FIELDS, max_size=2))))
+        lines.append(body + draw(_ENDS))
+    text = b"".join(lines)
+    if text and draw(st.booleans()):
+        text = text.rstrip(b"\n")      # a last line without its LF
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_lines(), st.sampled_from([1, 2, 3, BLOCK_EDGES]))
+def test_text_parser_matches_line_reference(text, block_edges):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance, "BLOCK_EDGES", block_edges)
+        want = _outcome(_reference_blocks(io.BytesIO(text)))
+        for chunk in (1, 3, 16, 1 << 20):
+            mp.setattr(instance, "_TEXT_CHUNK", chunk)
+            assert _outcome(load_edge_blocks(io.BytesIO(text), "text")) == want
+            if text.isascii():
+                got = load_edge_blocks(io.StringIO(text.decode()), "text")
+                assert _outcome(got) == want
+
+
+def test_text_parser_matches_reference_across_real_blocks():
+    lines = [f"{u} {v}\n".encode() for u, v in
+             zip(range(2 * BLOCK_EDGES + 9), itertools.cycle([7, 4294967295]))]
+    lines[5] = b"# comment\n"
+    lines[BLOCK_EDGES + 2] = b"  12   000034  \r\n"
+    text = b"".join(lines)
+    want = _outcome(_reference_blocks(io.BytesIO(text)))
+    assert [size for size, *_ in want[0]] == [BLOCK_EDGES, BLOCK_EDGES, 8]
+    assert _outcome(load_edge_blocks(io.BytesIO(text), "text")) == want
+    bad = text + b"5 x\n"
+    want = _outcome(_reference_blocks(io.BytesIO(bad)))
+    assert len(want[0]) == 2 and want[1][0] is ParseError
+    assert _outcome(load_edge_blocks(io.BytesIO(bad), "text")) == want
+
+
+def test_text_str_stream_reads_utf8_bytes():
+    with pytest.raises(ParseError, match="non-ASCII byte") as err:
+        list(load_edges(io.StringIO("0 1\n# caf\u00e9\n")))
+    assert (err.value.line, err.value.offset) == (2, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from covsketch import (BRUTE_FORCE_GUARD, EdgeStream, MultipassParams,
                        threshold_greedy)
 from covsketch.errors import (ConfigError, GuardExceededError, IdRangeError,
                               StateError)
-from covsketch.instance import CoverageInstance, random_edge_blocks
+from covsketch.instance import CoverageInstance, edge_blocks, random_edge_blocks
 from covsketch.solvers import _as_source, _ladder
 
 
@@ -549,7 +549,7 @@ def test_multipass_source_must_be_replayable():
     with pytest.raises(ConfigError, match="one-shot"):
         setcover_multipass((e for e in edges), 2, 2, 1, 0.3, seed=0)
     with pytest.raises(ConfigError, match="one-shot"):
-        setcover_multipass(EdgeStream(edges=edges), 2, 2, 1, 0.3, seed=0)
+        setcover_multipass(EdgeStream(edge_blocks(edges)), 2, 2, 1, 0.3, seed=0)
     src = _as_source(edges)
     edges.append((1, 2))              # read in place, not a copy
     assert list(src()) == list(src()) == edges

@@ -84,7 +84,7 @@ def _resolve_shape(src, args, *, need_n=True, need_m=False, allow_scan=True,
     return n, m
 
 
-def _custom_params(args, n, k, eps, m_hint):
+def _custom_params(args, n, k, eps, m_hint, delta2):
     both = (args.degree_cap is not None, args.edge_budget is not None)
     if any(both) and not all(both):
         raise ConfigError("--degree-cap and --edge-budget must be given together")
@@ -92,7 +92,7 @@ def _custom_params(args, n, k, eps, m_hint):
         return None
     return SketchParams.custom(n=n, k=k, eps=eps, degree_cap=args.degree_cap,
                                edge_budget=args.edge_budget,
-                               delta2=args.delta2, m_hint=m_hint)
+                               delta2=delta2, m_hint=m_hint)
 
 
 def _maybe_recount(src, chosen, report, timer):
@@ -134,7 +134,7 @@ def cmd_build_sketch(args) -> int:
     report = RunReport(command="build-sketch", label=src.label, seed=args.seed)
     n, m = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
     m_hint = args.m_hint if args.m_hint is not None else (m if m else 2)
-    params = _custom_params(args, n, args.k, args.eps, m_hint)
+    params = _custom_params(args, n, args.k, args.eps, m_hint, args.delta2)
     if params is None:
         params = SketchParams.derive(n=n, k=args.k, eps=args.eps,
                                      delta2=args.delta2, m_hint=m_hint)
@@ -167,10 +167,12 @@ def cmd_build_sketch(args) -> int:
 
 def cmd_kcover(args) -> int:
     src = _open_source(args, args.seed)
+    if args.with_opt and not src.replayable:
+        raise ConfigError("--with-opt needs a replayable source")
     report = RunReport(command="kcover", label=src.label, seed=args.seed)
     n, m = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
     m_hint = args.m_hint if args.m_hint is not None else (m if m else 2)
-    params = _custom_params(args, n, args.k, args.eps / 12.0, m_hint)
+    params = _custom_params(args, n, args.k, args.eps / 12.0, m_hint, 1.0)
     timer = PhaseTimer()
     builder_seed = derive_seed(args.seed, SEED_BUILDER)
     with timer.time("solve"):
@@ -181,8 +183,6 @@ def cmd_kcover(args) -> int:
     report.solutions = [solution_json(sol, n, builder_seed)]
     covered = _maybe_recount(src, sol.chosen, report, timer)
     if args.with_opt:
-        if not src.replayable:
-            raise ConfigError("--with-opt needs a replayable source")
         with timer.time("opt"):
             system = materialize_system(src(), n)
             opt_value, _ = brute_force_kcover(system, args.k)
@@ -197,6 +197,8 @@ def cmd_kcover(args) -> int:
 
 def cmd_setcover_outliers(args) -> int:
     src = _open_source(args, args.seed)
+    if args.with_opt and not src.replayable:
+        raise ConfigError("--with-opt needs a replayable source")
     report = RunReport(command="setcover-outliers", label=src.label,
                        seed=args.seed)
     n, _ = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
@@ -216,8 +218,6 @@ def cmd_setcover_outliers(args) -> int:
         if universe:
             report.params["true_covered_fraction"] = f"{covered / universe:.4f}"
     if args.with_opt:
-        if not src.replayable:
-            raise ConfigError("--with-opt needs a replayable source")
         with timer.time("opt"):
             system = materialize_system(src(), n)
             opt_size, _ = brute_force_setcover(system, args.lam)
@@ -274,15 +274,7 @@ def _eval_source_factory(args, master_seed):
 
 def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
     src = make_source(repeat_master)
-    n, m = src.shape()
-    if args.n is not None:
-        n = args.n
-    if args.m is not None:
-        m = args.m
-    if n is None or m is None:
-        n_scan, m_scan, _ = scan_shape(src())
-        n = n_scan if n is None else n
-        m = m_scan if m is None else m
+    n, m = _resolve_shape(src, args, need_n=True, need_m=True)
     k = args.k
     label = src.label
     system = materialize_system(src(), n)
@@ -434,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-hint", type=int)
     sp.add_argument("--degree-cap", type=int)
     sp.add_argument("--edge-budget", type=int)
-    sp.add_argument("--delta2", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--with-opt", action="store_true",
                     help="also brute-force the optimum (may exceed the guard)")

@@ -11,8 +11,9 @@ set (when an attachment seed is supplied) or rejected.
 
 Incidence has one representation, `SetSystem` (per-set bitmasks): instances
 store only their masks, and sketches, views and materialized streams adapt
-to it. `SetSystem.from_incidence` is the only code that sets mask bits,
-apart from `gen_disjointness`, whose two-element masks are set directly.
+to it. `SetSystem.from_incidence(n, universe, positions, set_ids)`, fed
+equal-length arrays, is the only code that sets mask bits, apart from
+`gen_disjointness`, whose two-element masks are set directly.
 """
 
 from __future__ import annotations
@@ -51,24 +52,25 @@ class SetSystem:
     masks: tuple[int, ...]
 
     @classmethod
-    def from_incidence(cls, n: int, universe: int,
-                       incidence: Iterable[tuple[int, Iterable[int]]]
-                       ) -> "SetSystem":
-        """Masks from (position, set ids) pairs; repeats OR together.
+    def from_incidence(cls, n: int, universe: int, positions, set_ids) -> "SetSystem":
+        """Masks from equal-length integer arrays (or lists): pair i sets bit
+        positions[i] of masks[set_ids[i]]; repeats OR together.
 
-        Ids are Python ints (a numpy scalar would overflow the shift); one
-        outside [0, universe) or [0, n) raises IdRangeError.
+        The first out-of-range pair raises IdRangeError naming its position,
+        if outside [0, universe), else its set id, outside [0, n). The bits
+        are set in one n x ceil(universe / 8) uint8 table, the size of the masks.
         """
-        masks = [0] * n
-        for pos, set_ids in incidence:
-            if not 0 <= pos < universe:
-                raise IdRangeError(f"element id {pos} outside [0, {universe})")
-            bit = 1 << pos
-            for u in set_ids:
-                if not 0 <= u < n:
-                    raise IdRangeError(f"set id {u} outside [0, {n})")
-                masks[u] |= bit
-        return cls(n, universe, tuple(masks))
+        pos, ids = np.asarray(positions), np.asarray(set_ids)
+        bad = (pos < 0) | (pos >= universe) | (ids < 0) | (ids >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            if not 0 <= pos[i] < universe:
+                raise IdRangeError(f"element id {pos[i]} outside [0, {universe})")
+            raise IdRangeError(f"set id {ids[i]} outside [0, {n})")
+        pos, ids = pos.astype(np.int64), ids.astype(np.int64)
+        table = np.zeros((n, (universe + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(table, (ids, pos >> 3), (1 << (pos & 7)).astype(np.uint8))
+        return cls(n, universe, tuple(int.from_bytes(row, "little") for row in table))
 
     def coverage(self, chosen: Iterable[int]) -> int:
         """Exact number of positions covered by the union of the chosen sets."""
@@ -114,18 +116,17 @@ class CoverageInstance:
         """
         if n < 1 or m < 1:
             raise ValueError(f"need n >= 1 and m >= 1, got n={n} m={m}")
-        inst = cls(n, m, SetSystem.from_incidence(
-            n, m, ((v, (u,)) for u, v in edges)).masks)
-        if inst.coverage(range(n)) == m:
-            return inst
-        if attach_isolated_seed is None:
-            isolated = [e for e, owners in enumerate(inst.elements) if not owners]
+        u, v = _edge_arrays(edges)
+        isolated = np.setdiff1d(np.arange(m), v)
+        if isolated.size and attach_isolated_seed is None:
+            SetSystem.from_incidence(n, m, v, u)    # a bad id is named first
             raise IsolatedElementError(
-                f"{len(isolated)} isolated element(s), first={isolated[0]}; "
+                f"{isolated.size} isolated element(s), first={isolated[0]}; "
                 "pass attach_isolated_seed to attach them")
         rng = np.random.default_rng(attach_isolated_seed)
-        owners = [sets or (int(rng.integers(n)),) for sets in inst.elements]
-        return cls(n, m, SetSystem.from_incidence(n, m, enumerate(owners)).masks)
+        owners = np.array([rng.integers(n) for _ in isolated], dtype=np.int64)
+        return cls(n, m, SetSystem.from_incidence(
+            n, m, np.concatenate((v, isolated)), np.concatenate((u, owners))).masks)
 
     @property
     def edge_count(self) -> int:
@@ -357,19 +358,21 @@ class EdgeStream:
         return iter(self._blocks)
 
 
+def _edge_arrays(edges: Iterable[Edge]) -> EdgeBlock:
+    """The whole stream as one (set ids, element ids) block."""
+    blocks = list(edge_blocks(edges)) or [(_NO_IDS, _NO_IDS)]
+    return tuple(np.concatenate(ids) for ids in zip(*blocks))
+
+
 def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
     """The stream as a SetSystem over its distinct elements, in one pass.
 
     Positions are the element ids' ranks, ascending. A set id outside
     [0, n) raises IdRangeError.
     """
-    blocks = list(edge_blocks(edges))
-    u = np.concatenate([b[0] for b in blocks]) if blocks else _NO_IDS
-    v = np.concatenate([b[1] for b in blocks]) if blocks else _NO_IDS
+    u, v = _edge_arrays(edges)
     elements, positions = np.unique(v, return_inverse=True)
-    return SetSystem.from_incidence(
-        n, elements.size,
-        ((pos, (s,)) for s, pos in zip(u.tolist(), positions.tolist())))
+    return SetSystem.from_incidence(n, elements.size, positions, u)
 
 
 def write_edges_text(stream: IO, edges: Iterable[Edge]) -> int:
@@ -499,8 +502,7 @@ def gen_planted_cover(n: int, m: int, k_star: int, seed: int):
     bounds = [0] + cuts + [m]
     blocks = [perm[bounds[i]:bounds[i + 1]] for i in range(k_star)]
 
-    incidence = [(e, (pid,)) for pid, block in zip(planted, blocks)
-                 for e in block]
+    pairs = [(e, pid) for pid, block in zip(planted, blocks) for e in block]
     planted_set = set(planted)
     for u in range(n):
         if u in planted_set:
@@ -510,9 +512,10 @@ def gen_planted_cover(n: int, m: int, k_star: int, seed: int):
         sub = [e for e in block if rng.random() < keep_p]
         if len(sub) == len(block) and sub:
             sub.pop(int(rng.integers(len(sub))))
-        incidence += [(e, (u,)) for e in sub]
-    inst = CoverageInstance(n, m, SetSystem.from_incidence(n, m, incidence).masks)
-    return inst, tuple(planted)
+        pairs += [(e, u) for e in sub]
+    positions, set_ids = zip(*pairs)
+    system = SetSystem.from_incidence(n, m, positions, set_ids)
+    return CoverageInstance(n, m, system.masks), tuple(planted)
 
 
 def gen_disjointness(a_ids: Iterable[int], b_ids: Iterable[int], n: int) -> CoverageInstance:

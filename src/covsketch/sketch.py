@@ -134,6 +134,13 @@ class SketchElement(NamedTuple):
 _SETS = operator.attrgetter("sets")
 
 
+def _positional_system(n: int, id_lists: list[tuple[int, ...]]) -> SetSystem:
+    """The SetSystem whose position i holds the set ids id_lists[i]."""
+    positions = np.repeat(np.arange(len(id_lists)), list(map(len, id_lists)))
+    ids = np.fromiter(itertools.chain.from_iterable(id_lists), np.int64, positions.size)
+    return SetSystem.from_incidence(n, len(id_lists), positions, ids)
+
+
 @dataclass(frozen=True)
 class SubgraphView:
     """Hash-filtered (optionally degree-capped) view of an instance.
@@ -157,9 +164,7 @@ class SubgraphView:
     @cached_property
     def system(self) -> SetSystem:
         """The kept elements as a SetSystem, positions in `elements` order."""
-        return SetSystem.from_incidence(
-            self.n, len(self.elements),
-            enumerate(self.incident[e] for e in self.elements))
+        return _positional_system(self.n, [self.incident[e] for e in self.elements])
 
     def covered_count(self, chosen: Iterable[int]) -> int:
         """Number of kept elements hit by the chosen sets."""
@@ -231,9 +236,8 @@ class Sketch:
     def system(self) -> SetSystem:
         """The retained elements as a SetSystem, positions in stored order."""
         if self._system is None:
-            self._system = SetSystem.from_incidence(
-                self.params.n, len(self.elements),
-                enumerate(item.sets for item in self.elements))
+            self._system = _positional_system(
+                self.params.n, list(map(_SETS, self.elements)))
         return self._system
 
     def covered_retained(self, chosen: Iterable[int]) -> int:

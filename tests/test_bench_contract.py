@@ -3,8 +3,10 @@
 perfbench/workloads.py builds the exact_oracles reference by iterating a
 generator source's stream as (set_id, element_id) tuples, and
 perfbench/layers.py patches `covsketch.harness.load_edges` in traced
-(--trace 1) runs. The benchmark's files stay as they are, so the package
-keeps both.
+(--trace 1) runs and wraps, among others, `cli.materialize_system(edges, n)`,
+`CoverageInstance.from_edges(n, m, edges, *, attach_isolated_seed)` and
+`solvers.as_set_system(target)`. The benchmark's files stay as they are, so
+the package keeps these names and signatures.
 """
 
 import io
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from covsketch import harness, random_edge_stream, write_edges_binary
+from covsketch import (CoverageInstance, cli, harness, random_edge_stream,
+                       solvers, write_edges_binary)
 from covsketch.harness import GenEdgeSource, parse_gen_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,6 +34,23 @@ def test_trace_targets_patch_and_restore(monkeypatch, record):
         buf.seek(0)
         assert list(harness.load_edges(buf, "binary")) == edges
     assert vars(harness)["load_edges"] is original
+
+
+def test_wrapped_names_keep_their_signatures(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer, patched
+    tracer = Tracer(record=True)
+    edges = [(0, 1), (2, 3), (4, 5)]
+    with patched(layers.targets(tracer)):
+        system = cli.materialize_system(edges, 5)
+        assert (system.n, system.universe) == (5, 3)
+        assert system.masks == (0b001, 0, 0b010, 0, 0b100)
+        inst = CoverageInstance.from_edges(5, 6, edges, attach_isolated_seed=7)
+        assert inst.coverage(range(5)) == 6
+        assert solvers.as_set_system(inst) is inst.system
+    assert {"harness.materialize_system", "instance.from_edges",
+            "solvers.as_set_system"} <= {s.name for s in tracer.spans}
 
 
 def test_generator_source_stream_iterates_as_tuples():

@@ -255,6 +255,30 @@ def test_kcover_from_stdin_single_pass(capsys, monkeypatch):
     assert "true_coverage" not in payload["true_values"]
 
 
+class _UnreadableStdin:
+    def read(self, *args):
+        pytest.fail("stdin was read")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kcover", "--k", "1"],
+    ["setcover-outliers", "--lambda", str(math.exp(-1))],
+])
+def test_with_opt_on_stdin_is_refused_before_reading(capsys, monkeypatch, argv):
+    import sys
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    code, _, err = run(capsys, *argv, "--input", "-", "--n", "2", "--with-opt")
+    assert code == 2
+    assert "--with-opt needs a replayable source" in err
+
+
+def test_kcover_has_no_delta2_flag(capsys):
+    code, _, err = run(capsys, "kcover", "--gen", "random:n=5,m=20,p=0.4",
+                       "--k", "2", "--delta2", "2")
+    assert code == 2
+    assert "unrecognized arguments: --delta2" in err
+
+
 def test_kcover_text_report(capsys):
     code, out, err = run(capsys, "kcover", "--gen", "random:n=5,m=20,p=0.4",
                          "--k", "2")

@@ -229,7 +229,7 @@ def old_gen_disjointness(a_ids, b_ids, n):
     if not a or not b:
         raise ValueError("both id collections must be nonempty")
     return CoverageInstance(
-        n, 2, SetSystem.from_incidence(n, 2, ((0, a), (1, b))).masks)
+        n, 2, SetSystem.from_incidence(n, 2, [0]*len(a) + [1]*len(b), a + b).masks)
 
 
 def _outcome(build, *args):

@@ -2,8 +2,9 @@
 
 The references are the former eager builds, kept here as oracles: the
 instance builder that collected Python sets per set and derived sorted
-adjacency and masks from them, the planted generator on top of it, and the
-element-at-a-time random edge generator.
+adjacency and masks from them, the planted generator on top of it, the
+element-at-a-time random edge generator, and the `from_incidence` loop that
+set mask bits one (position, set ids) pair at a time.
 """
 
 import io
@@ -11,18 +12,106 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covsketch import (CoverageInstance, EdgeStream, SketchParams,
-                       brute_force_kcover, build_sketch_offline,
+                       brute_force_kcover, build_sketch_from_stream,
+                       build_sketch_offline, cap_element_degrees,
                        gen_planted_cover, greedy_kcover, greedy_setcover,
-                       random_edge_stream, sample_subgraph, write_edges_binary,
+                       load_sketch, random_edge_stream, recap_sketch,
+                       sample_subgraph, save_sketch, write_edges_binary,
                        write_edges_text)
 from covsketch.errors import IdRangeError, IsolatedElementError
 from covsketch.instance import (BLOCK_EDGES, SetSystem, materialize_system,
                                 random_edge_blocks)
 from covsketch.solvers import as_set_system
+
+
+def _reference_from_incidence(n, universe, incidence):
+    """The former mask builder: (position, set ids) pairs, one bit at a time."""
+    masks = [0] * n
+    for pos, set_ids in incidence:
+        if not 0 <= pos < universe:
+            raise IdRangeError(f"element id {pos} outside [0, {universe})")
+        bit = 1 << pos
+        for u in set_ids:
+            if not 0 <= u < n:
+                raise IdRangeError(f"set id {u} outside [0, {n})")
+            masks[u] |= bit
+    return SetSystem(n, universe, tuple(masks))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except IdRangeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def incidence_pairs(draw):
+    """(n, universe, pairs): in-range pairs with repeats, and sometimes
+    pairs out of range on either side, each (position, set id)."""
+    n = draw(st.integers(1, 6))
+    universe = draw(st.integers(0, 70))
+    pairs = []
+    if universe:
+        pairs = draw(st.lists(st.tuples(st.integers(0, universe - 1),
+                                        st.integers(0, n - 1)), max_size=40))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=8))
+    bad = st.tuples(st.integers(-3, universe + 3), st.integers(-3, n + 3))
+    for pair in draw(st.lists(bad, max_size=2)):
+        pairs.insert(draw(st.integers(0, len(pairs))), pair)
+    return n, universe, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@example((1, 0, []), list)
+@example((3, 0, [(0, 1)]), np.int64)
+@example((1, 13, [(12, 0), (3, 0), (12, 0)]), np.int32)
+@example((2, 70, [(69, 1), (64, 0), (70, 2)]), np.int64)
+@example((2, 9, [(4, 2), (9, 0)]), list)
+@example((2, 9, [(4, 1), (2 ** 70, 0)]), list)      # beyond int64
+@example((2, 9, [(4, -2 ** 64), (2, 0)]), list)
+@given(incidence_pairs(), st.sampled_from([list, np.int64, np.int32]))
+def test_array_build_matches_per_edge_reference(case, as_ints):
+    n, universe, pairs = case
+    want = _outcome(_reference_from_incidence, n, universe,
+                    [(pos, (u,)) for pos, u in pairs])
+    positions = [pos for pos, _ in pairs]
+    set_ids = [u for _, u in pairs]
+    got = _outcome(SetSystem.from_incidence, n, universe,
+                   as_ints(positions), as_ints(set_ids))
+    assert got == want
+
+
+def _reference_system(n, id_lists):
+    return _reference_from_incidence(n, len(id_lists), enumerate(id_lists))
+
+
+def test_sketch_and_view_systems_match_per_edge_reference():
+    n, m = 12, 400
+    inst = CoverageInstance.from_edges(n, m, random_edge_stream(n, m, 0.3, 4))
+    base = build_sketch_from_stream(
+        inst.edges_by_element(),
+        SketchParams.custom(n=n, k=2, eps=0.2, degree_cap=n, edge_budget=600),
+        seed=8)
+    assert not base.full_retention
+    buf = io.BytesIO()
+    save_sketch(base, buf)
+    buf.seek(0)
+    loaded = load_sketch(buf)
+    level = recap_sketch(base, SketchParams.custom(n=n, k=2, eps=0.2,
+                                                   degree_cap=2, edge_budget=300))
+    assert level.elements is not base.elements
+    for sk in (loaded, level):
+        assert sk.system == _reference_system(n, [item.sets for item in sk.elements])
+    view = sample_subgraph(inst, 0.4, seed=3)
+    for v in (view, cap_element_degrees(view, 3)):
+        assert 0 < len(v.elements) < m
+        assert v.system == _reference_system(n, [v.incident[e] for e in v.elements])
 
 
 def _reference_finish(n, m, by_set):

@@ -133,7 +133,7 @@ def cmd_build_sketch(args) -> int:
     src = _open_source(args, args.seed)
     report = RunReport(command="build-sketch", label=src.label, seed=args.seed)
     n, m = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
-    m_hint = args.m_hint if args.m_hint is not None else (m if m else 2)
+    m_hint = m or 2
     params = _custom_params(args, n, args.k, args.eps, m_hint, args.delta2)
     if params is None:
         params = SketchParams.derive(n=n, k=args.k, eps=args.eps,
@@ -171,7 +171,7 @@ def cmd_kcover(args) -> int:
         raise ConfigError("--with-opt needs a replayable source")
     report = RunReport(command="kcover", label=src.label, seed=args.seed)
     n, m = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
-    m_hint = args.m_hint if args.m_hint is not None else (m if m else 2)
+    m_hint = m or 2
     params = _custom_params(args, n, args.k, args.eps / 12.0, m_hint, 1.0)
     timer = PhaseTimer()
     builder_seed = derive_seed(args.seed, SEED_BUILDER)
@@ -253,27 +253,10 @@ def cmd_setcover_multipass(args) -> int:
     return 0
 
 
-def _eval_source_factory(args, master_seed):
-    """Per-repeat source builder: a generator spec draws each repeat's
-    instance from that repeat's seed."""
-    if (args.input is None) == (args.gen is None):
-        raise ConfigError("exactly one of --input or --gen is required")
-    if args.gen is not None:
-        spec = parse_gen_spec(args.gen)
-
-        def make(repeat_master):
-            return GenEdgeSource(spec, derive_seed(repeat_master, SEED_GENERATOR))
-    else:
-        if args.input == "-":
-            raise ConfigError("eval needs a replayable source, not stdin")
-
-        def make(repeat_master):
-            return FileEdgeSource(args.input, args.format)
-    return make
-
-
-def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
-    src = make_source(repeat_master)
+def _eval_one_repeat(args, repeat_master) -> list[list]:
+    src = _open_source(args, repeat_master)
+    if not src.replayable:
+        raise ConfigError("eval needs a replayable source, not stdin")
     n, m = _resolve_shape(src, args, need_n=True, need_m=True)
     k = args.k
     label = src.label
@@ -342,10 +325,11 @@ def _eval_one_repeat(make_source, args, repeat_master) -> list[list]:
 
 
 def cmd_eval(args) -> int:
-    make_source = _eval_source_factory(args, args.seed)
+    if args.repeat < 1:
+        raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     masters = [derive_seed(args.seed, SEED_REPEAT_BASE + i)
                for i in range(args.repeat)]
-    blocks = [_eval_one_repeat(make_source, args, ms) for ms in masters]
+    blocks = [_eval_one_repeat(args, ms) for ms in masters]
     out_fp = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out_fp)
@@ -411,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, default=0.2)
     sp.add_argument("--delta2", type=float, default=1.0)
-    sp.add_argument("--m-hint", type=int)
     sp.add_argument("--degree-cap", type=int)
     sp.add_argument("--edge-budget", type=int)
     sp.add_argument("--seed", type=int, default=0)
@@ -423,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--eps", type=float, default=0.6)
-    sp.add_argument("--m-hint", type=int)
     sp.add_argument("--degree-cap", type=int)
     sp.add_argument("--edge-budget", type=int)
     sp.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (ConfigError, GuardExceededError, IdRangeError,
                      IncompatibleSketchError, ParseError)
 from .hashing import ElementHasher, derive_seed, unit_from_u64
-from .instance import Edge
+from .instance import Edge, edge_blocks
 from .solvers import Solution
 
 L0_ENUM_GUARD = 1_000_000
@@ -147,14 +147,28 @@ def merge_sketches(a: DistinctSketch, b: DistinctSketch) -> DistinctSketch:
 
 def build_per_set_sketches(edges: Iterable[Edge], n: int, capacity: int,
                            seed: int, reps: int = 1) -> list[DistinctSketch]:
-    """One distinct-count sketch per set, filled in a single pass."""
+    """One distinct-count sketch per set, filled in one pass, a block at a time."""
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     bank = [DistinctSketch(capacity, seed, reps) for _ in range(n)]
-    for u, v in edges:
-        if not 0 <= u < n:
-            raise IdRangeError(f"set id {u} outside [0, {n})")
-        bank[u].insert(v)
+    for u, v in edge_blocks(edges):
+        bad = (u < 0) | (u >= n) | (v < 0)
+        if bad.any():
+            i = int(bad.argmax())
+            if not 0 <= u[i] < n:
+                raise IdRangeError(f"set id {u[i]} outside [0, {n})")
+            raise IdRangeError(f"element id {v[i]} is negative")
+        # the block's distinct (set id, element) pairs, ordered by set id
+        elements, ranks = np.unique(v, return_inverse=True)
+        pairs = np.unique(u * elements.size + ranks)
+        u, v = pairs // elements.size, elements[pairs % elements.size]
+        ids, starts = np.unique(u, return_index=True)
+        for rep, hasher in enumerate(bank[0]._hashers):
+            hashes = np.split(hasher.values(v), starts[1:])
+            for u_id, fresh in zip(ids.tolist(), hashes):
+                mins = bank[u_id].mins
+                fresh = np.sort(fresh)[:capacity].tolist()
+                mins[rep] = sorted(set(mins[rep]).union(fresh))[:capacity]
     return bank
 
 

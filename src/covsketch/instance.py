@@ -474,7 +474,8 @@ def random_edge_stream(n: int, m: int, p_e: float, seed: int) -> Iterator[Edge]:
 
 def gen_random(n: int, m: int, p_e: float, seed: int) -> CoverageInstance:
     """Random instance with i.i.d. Bernoulli(p_e) membership, no isolated elements."""
-    return CoverageInstance.from_edges(n, m, random_edge_stream(n, m, p_e, seed))
+    return CoverageInstance.from_edges(
+        n, m, EdgeStream(random_edge_blocks(n, m, p_e, seed)))
 
 
 def gen_planted_cover(n: int, m: int, k_star: int, seed: int):

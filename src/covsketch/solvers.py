@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -85,39 +85,36 @@ class Solution:
         return len(self.chosen)
 
 
-def _lazy_greedy(system: SetSystem, budget: int | None, *,
-                 until_covered: bool = False) -> tuple[list[int], list[int], int]:
-    """Lazy greedy: identical picks to naive greedy, fewer gain evaluations.
+def _greedy_picks(system: SetSystem) -> Iterator[tuple[int, int]]:
+    """Lazy greedy's (set id, marginal gain) picks, until every set is picked.
 
-    Heap keys are (-gain, id); a popped entry is re-evaluated and either
-    reinserted (stale) or accepted, which preserves the exact
-    largest-gain-smallest-id order because gains only ever decrease.
-    Returns (chosen, gains, covered_mask).
+    Identical picks to naive greedy, fewer gain evaluations: heap keys are
+    (-gain, id), and a popped entry is re-evaluated and either reinserted
+    (stale) or picked, which keeps the largest-gain-smallest-id order
+    because gains only ever decrease. Any budget takes a prefix.
     """
     masks = system.masks
     heap = [(-masks[u].bit_count(), u) for u in range(system.n)]
     heapq.heapify(heap)
     covered = 0
-    full = (1 << system.universe) - 1
-    chosen: list[int] = []
-    gains: list[int] = []
+    last = math.inf
     while heap:
-        if budget is not None and len(chosen) >= budget:
-            break
-        if until_covered and covered == full:
-            break
         neg_gain, u = heapq.heappop(heap)
         gain = (masks[u] & ~covered).bit_count()
         if gain != -neg_gain:
             heapq.heappush(heap, (-gain, u))
             continue
-        if until_covered and gain == 0:
-            break
-        assert not gains or gain <= gains[-1], "marginal gains must be non-increasing"
-        chosen.append(u)
-        gains.append(gain)
+        assert gain <= last, "marginal gains must be non-increasing"
+        last = gain
         covered |= masks[u]
-    return chosen, gains, covered
+        yield u, gain
+
+
+def _solution(picks: list[tuple[int, int]]) -> Solution:
+    """The Solution of greedy picks; their gains sum to the union's size."""
+    chosen = tuple(u for u, _ in picks)
+    gains = tuple(gain for _, gain in picks)
+    return Solution(chosen=chosen, covered_on_target=sum(gains), gains=gains)
 
 
 def greedy_kcover(target, k: int) -> Solution:
@@ -129,11 +126,7 @@ def greedy_kcover(target, k: int) -> Solution:
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    system = as_set_system(target)
-    budget = min(k, system.n)
-    chosen, gains, covered = _lazy_greedy(system, budget)
-    sol = Solution(chosen=tuple(chosen), covered_on_target=covered.bit_count(),
-                   gains=tuple(gains))
+    sol = _solution(list(itertools.islice(_greedy_picks(as_set_system(target)), k)))
     if isinstance(target, Sketch):
         sol.estimate = estimate_coverage(target, sol.chosen)
     return sol
@@ -141,10 +134,8 @@ def greedy_kcover(target, k: int) -> Solution:
 
 def greedy_setcover(target) -> Solution:
     """Greedy picks until nothing uncovered remains (or no set helps)."""
-    system = as_set_system(target)
-    chosen, gains, covered = _lazy_greedy(system, None, until_covered=True)
-    return Solution(chosen=tuple(chosen), covered_on_target=covered.bit_count(),
-                    gains=tuple(gains))
+    return _solution(list(itertools.takewhile(
+        lambda pick: pick[1] > 0, _greedy_picks(as_set_system(target)))))
 
 
 def threshold_greedy(target, k: int, eps_prime: float) -> Solution:
@@ -290,24 +281,27 @@ def probe_on_sketch(sk: Sketch, pick_budget: int, eps: float,
                     lambda_prime: float) -> Solution | _Reject:
     """Accept/reject a size guess given its finalized probe sketch.
 
-    Greedy takes pick_budget sets; the guess is accepted iff the covered
-    fraction of retained elements reaches 1 - lambda_prime - eps*ln(1/lambda_prime),
+    Greedy's first pick_budget picks are accepted iff their covered fraction
+    of retained elements reaches 1 - lambda_prime - eps*ln(1/lambda_prime),
     compared exactly in rationals. REJECT is a value, not an error.
     """
+    return _judge(sk, _greedy_picks(sk.system), pick_budget, eps, lambda_prime)
+
+
+def _judge(sk, picks, pick_budget, eps, lambda_prime):
+    """`probe_on_sketch` on the first pick_budget of greedy's picks on sk."""
     retained = sk.element_count
-    sol = greedy_kcover(sk, pick_budget) if retained else Solution((), 0, ())
+    sol = _solution(list(itertools.islice(picks, pick_budget)) if retained else [])
     bar = (Fraction(1)
            - Fraction(lambda_prime)
            - Fraction(eps) * Fraction(math.log(1.0 / lambda_prime)))
-    if retained:
-        ok = Fraction(sol.covered_on_target, retained) >= bar
-        fraction = sol.covered_on_target / retained
-    else:
-        ok = True
+    if not retained:
         fraction = 1.0
-    if not ok:
+    elif Fraction(sol.covered_on_target, retained) < bar:
         return REJECT
-    sol.estimate = estimate_coverage(sk, sol.chosen) if retained else None
+    else:
+        fraction = sol.covered_on_target / retained
+        sol.estimate = estimate_coverage(sk, sol.chosen)
     sol.meta.update({"pick_budget": pick_budget,
                      "accept_bar": float(bar),
                      "covered_fraction": fraction,
@@ -375,7 +369,9 @@ def setcover_outliers(source, n: int, opts: OutlierParams, seed: int) -> Solutio
     retains every level's hash prefix because min(d, c) >= (c / c_max) *
     min(d, c_max). Each level's probe sketch is `recap_sketch` of the base,
     so the pass holds B * ceil(c_max / c_min) + c_max edges plus one block.
-    meta["builder_stats"] carries the base build's counters.
+    A level's sketch is fixed by (min(c, D), B), D the base's widest degree:
+    a level repeating the previous pair reuses its sketch and extends its
+    greedy picks. meta["builder_stats"] carries the base build's counters.
     """
     if opts.n != n:
         raise ConfigError(f"opts derived for n={opts.n}, called with n={n}")
@@ -388,9 +384,15 @@ def setcover_outliers(source, n: int, opts: OutlierParams, seed: int) -> Solutio
         for params, _ in configs))
     edges = source() if callable(source) else source
     base = build_sketch_from_stream(edges, base_params, derive_seed(seed, 0))
+    widest = max((len(item.sets) for item in base.elements), default=0)
+    last_pair = None
     for idx, (k_prime, (params, pick_budget)) in enumerate(zip(levels, configs)):
-        sk = recap_sketch(base, params)
-        result = probe_on_sketch(sk, pick_budget, params.eps, opts.lambda_prime)
+        pair = (min(params.degree_cap, widest), params.edge_budget)
+        if pair != last_pair:
+            last_pair, sk = pair, recap_sketch(base, params)
+            greedy, picks = _greedy_picks(sk.system), []
+        picks += itertools.islice(greedy, pick_budget - len(picks))
+        result = _judge(sk, picks, pick_budget, params.eps, opts.lambda_prime)
         if result is not REJECT:
             result.meta.update(k_prime=k_prime, ladder_level=idx,
                                levels_total=len(levels),

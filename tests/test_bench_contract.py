@@ -4,9 +4,11 @@ perfbench/workloads.py builds the exact_oracles reference by iterating a
 generator source's stream as (set_id, element_id) tuples, and
 perfbench/layers.py patches `covsketch.harness.load_edges` in traced
 (--trace 1) runs and wraps, among others, `cli.materialize_system(edges, n)`,
-`CoverageInstance.from_edges(n, m, edges, *, attach_isolated_seed)` and
-`solvers.as_set_system(target)`. The benchmark's files stay as they are, so
-the package keeps these names and signatures.
+`CoverageInstance.from_edges(n, m, edges, *, attach_isolated_seed)`,
+`solvers.as_set_system(target)`, `cli.build_per_set_sketches(edges, n,
+capacity, seed, reps=...)` and `cli.greedy_kcover(target, k)`. The
+benchmark's files stay as they are, so the package keeps these names and
+signatures.
 """
 
 import io
@@ -49,8 +51,13 @@ def test_wrapped_names_keep_their_signatures(monkeypatch):
         inst = CoverageInstance.from_edges(5, 6, edges, attach_isolated_seed=7)
         assert inst.coverage(range(5)) == 6
         assert solvers.as_set_system(inst) is inst.system
+        bank = cli.build_per_set_sketches(edges, 5, 4, 3, reps=2)
+        assert [sk.estimate() for sk in bank] == [1.0, 0.0, 1.0, 0.0, 1.0]
+        sol = cli.greedy_kcover(system, 2)
+        assert (sol.chosen, sol.gains, sol.covered_on_target) == ((0, 2), (1, 1), 2)
     assert {"harness.materialize_system", "instance.from_edges",
-            "solvers.as_set_system"} <= {s.name for s in tracer.spans}
+            "solvers.as_set_system", "distinct.build_per_set_sketches",
+            "solvers.exact_greedy_kcover"} <= {s.name for s in tracer.spans}
 
 
 def test_generator_source_stream_iterates_as_tuples():

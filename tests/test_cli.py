@@ -279,6 +279,19 @@ def test_kcover_has_no_delta2_flag(capsys):
     assert "unrecognized arguments: --delta2" in err
 
 
+def test_kcover_has_no_m_hint_flag(capsys):
+    code, _, err = run(capsys, "kcover", "--gen", "random:n=5,m=20,p=0.4",
+                       "--k", "2", "--m-hint", "7")
+    assert code == 2
+    assert "unrecognized arguments: --m-hint" in err
+
+
+def test_build_sketch_m_sets_the_m_hint(tmp_path, capsys):
+    payload = run_json(capsys, "build-sketch", "--gen", "random:n=5,m=20,p=0.4",
+                       "--k", "2", "--m", "5000", "--out", str(tmp_path / "s.bin"))
+    assert payload["params"]["m_hint"] == 5000
+
+
 def test_kcover_text_report(capsys):
     code, out, err = run(capsys, "kcover", "--gen", "random:n=5,m=20,p=0.4",
                          "--k", "2")
@@ -466,6 +479,24 @@ def test_eval_out_file_and_stdin_rejection(tmp_path, capsys):
     assert out.read_text().startswith(EVAL_CSV_HEADER)
     code, _, err = run(capsys, "eval", "--input", "-", "--k", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("repeat", ["0", "-3"])
+def test_eval_refuses_repeat_below_one(capsys, repeat):
+    code, out, err = run(capsys, "eval", "--gen", "random:n=6,m=20,p=0.4",
+                         "--k", "2", "--repeat", repeat)
+    assert code == 2
+    assert out == ""
+    assert f"--repeat must be >= 1, got {repeat}" in err
+
+
+def test_eval_refuses_stdin_before_reading(capsys, monkeypatch):
+    import sys
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    code, _, err = run(capsys, "eval", "--input", "-", "--n", "2", "--m", "2",
+                       "--k", "1")
+    assert code == 2
+    assert "eval needs a replayable source, not stdin" in err
 
 
 # ---------------------------------------------------------------------------

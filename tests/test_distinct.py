@@ -5,7 +5,10 @@ import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covsketch import instance
 from covsketch import (DistinctSketch, build_per_set_sketches, gen_random,
                        kcover_via_l0, load_distinct, merge_sketches,
                        save_distinct)
@@ -133,6 +136,46 @@ def test_build_per_set_sketches():
         build_per_set_sketches([(5, 0)], 5, 64, seed=7)
     with pytest.raises(ConfigError):
         build_per_set_sketches([], 0, 64, seed=7)
+
+
+def _bank_by_inserts(edges, n, capacity, seed, reps):
+    """The former per-edge bank build: the reference for the block build."""
+    bank = [DistinctSketch(capacity, seed, reps) for _ in range(n)]
+    for u, v in edges:
+        if not 0 <= u < n:
+            raise IdRangeError(f"set id {u} outside [0, {n})")
+        bank[u].insert(v)
+    return bank
+
+
+def _bank_outcome(build, *args):
+    try:
+        return [sk.mins for sk in build(*args)]
+    except IdRangeError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), capacity=st.integers(2, 6),
+       reps=st.integers(1, 3),
+       block_edges=st.sampled_from([1, 3, instance.BLOCK_EDGES]))
+def test_block_bank_matches_per_edge_inserts(data, n, capacity, reps,
+                                             block_edges):
+    # few element ids, so sets repeat elements and hold fewer distinct ones
+    # than the capacity as often as more
+    ids = st.integers(0, data.draw(st.integers(1, 12)))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), ids),
+                               max_size=40))
+    bad_edges = st.sampled_from([(n, 0), (-1, 0), (0, -2), (n + 3, -1)])
+    for bad in data.draw(st.lists(bad_edges, max_size=2)):
+        edges.insert(data.draw(st.integers(0, len(edges))), bad)
+    seed = data.draw(st.integers(0, 2 ** 64 - 1))
+    want = _bank_outcome(_bank_by_inserts, edges, n, capacity, seed, reps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance, "BLOCK_EDGES", block_edges)
+        got = _bank_outcome(build_per_set_sketches, edges, n, capacity, seed,
+                            reps)
+    assert got == want
 
 
 def test_kcover_via_l0_takes_everything_at_k_equals_n():

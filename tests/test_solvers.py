@@ -7,7 +7,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covsketch import solvers
 from covsketch import (BRUTE_FORCE_GUARD, EdgeStream, MultipassParams,
                        OutlierParams, REJECT, SetSystem, Sketch, SketchParams,
                        StreamingSketchBuilder, as_set_system,
@@ -91,6 +94,20 @@ def test_greedy_kcover_matches_naive_reference():
             assert list(sol.chosen) == chosen
             assert list(sol.gains) == gains
             assert sol.covered_on_target == covered.bit_count()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), universe=st.integers(0, 12))
+def test_greedy_kcover_budgets_are_prefixes_of_one_sequence(data, n, universe):
+    masks = data.draw(st.lists(st.integers(0, (1 << universe) - 1),
+                               min_size=n, max_size=n))
+    system = SetSystem(n=n, universe=universe, masks=tuple(masks))
+    full = greedy_kcover(system, n)
+    for budget in range(1, n + 3):
+        sol = greedy_kcover(system, budget)
+        assert sol.chosen == full.chosen[:budget]
+        assert sol.gains == full.gains[:budget]
+        assert sol.covered_on_target == system.coverage(sol.chosen)
 
 
 def test_greedy_kcover_gains_non_increasing():
@@ -404,6 +421,66 @@ def test_setcover_outliers_reads_its_source_once(monkeypatch):
     assert opens[0] == 1 and builds[0] == 1
     one_shot = setcover_outliers(inst.edges_by_element(), 9, opts, seed=3)
     assert one_shot.chosen == sol.chosen
+
+
+def test_setcover_outliers_binding_caps_match_per_level_oracle(monkeypatch):
+    """Caps and budgets patched to bind and to change (or repeat) from level
+    to level, so levels re-cap, share a sketch, or run greedy anew."""
+    derived = probe_params
+    accepted_above_zero = 0
+    for seed in range(24):
+        inst = _planted_or_random(seed)
+        rng = random.Random(seed)
+        lam = (1.0 / math.e, 0.1, 0.02)[seed % 3]
+        opts = OutlierParams.derive(eps=0.3, lam=lam, c=1.0, n=inst.n)
+        shapes, shape = {}, None
+        for k_prime in _ladder(inst.n, opts.eps):
+            if shape is None or rng.random() < 0.4:
+                shape = (rng.choice([1, 2, 3, 40, 50]),
+                         rng.choice([30, 80, 500]))
+            shapes[k_prime] = shape
+
+        def patched(n, k_prime, eps_prime, lambda_prime, c_prime):
+            params, pick_budget = derived(n, k_prime, eps_prime, lambda_prime,
+                                          c_prime)
+            cap, budget = shapes[k_prime]
+            return SketchParams.custom(
+                n=n, k=pick_budget, eps=params.eps, degree_cap=cap,
+                edge_budget=budget, delta2=params.delta2), pick_budget
+
+        monkeypatch.setattr(solvers, "probe_params", patched)
+        monkeypatch.setitem(globals(), "probe_params", patched)
+        edges = list(inst.edges_by_element())
+        sol = setcover_outliers(edges, inst.n, opts, seed)
+        ref = _per_level_ladder(edges, inst.n, opts, seed)
+        assert sol.chosen == ref.chosen
+        assert sol.gains == ref.gains
+        assert sol.covered_on_target == ref.covered_on_target
+        assert sol.estimate == ref.estimate
+        sol.meta.pop("builder_stats")
+        assert sol.meta == ref.meta
+        accepted_above_zero += sol.meta["ladder_level"] > 0
+    assert accepted_above_zero
+
+
+def test_setcover_outliers_recaps_and_runs_greedy_once(monkeypatch):
+    calls = {"recap_sketch": 0, "_greedy_picks": 0}
+
+    def counted(name):
+        fn = getattr(solvers, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(solvers, name, call)
+
+    counted("recap_sketch")
+    counted("_greedy_picks")
+    opts = OutlierParams.derive(eps=0.3, lam=1.0 / math.e, c=1.0, n=50)
+    sol = setcover_outliers(
+        lambda: EdgeStream(random_edge_blocks(50, 4000, 0.05, 1)), 50, opts, 1)
+    assert sol.meta["ladder_level"] > 0
+    assert calls == {"recap_sketch": 1, "_greedy_picks": 1}
 
 
 def _peak_bytes(fn):

@@ -9,20 +9,20 @@ the blocks' flatten. Every element of a constructed instance belongs to at
 least one set: isolated elements are either attached to a uniformly random
 set (when an attachment seed is supplied) or rejected.
 
-Incidence has one representation, `SetSystem` (per-set bitmasks): instances
-store only their masks, and sketches, views and materialized streams adapt
-to it. `SetSystem.from_incidence(n, universe, positions, set_ids)`, fed
-equal-length arrays, is the only code that sets mask bits, apart from
-`gen_disjointness`, whose two-element masks are set directly.
+Incidence has one representation, `SetSystem` (per-set bitmasks): an
+instance is a SetSystem over its element ids, and sketches, views and
+materialized streams adapt to it. `SetSystem.from_incidence(n, universe,
+positions, set_ids)`, fed equal-length arrays, is the only code that sets
+mask bits, apart from `gen_disjointness`, whose two-element masks are set
+directly.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
+import operator
 import struct
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -39,17 +39,28 @@ _BIN_EDGE = struct.Struct("<II")
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
 class SetSystem:
     """n sets as bitmasks over a universe of `universe` bit positions.
 
     Bit `pos` of masks[u] is set iff set u holds the element at position pos
-    (an element id, or a retained or distinct element's index).
+    (an element id, or a retained or distinct element's index). `n`,
+    `universe` and `masks` are read-only. Equality and hashing go by
+    (n, universe, masks), so a CoverageInstance equals the SetSystem of its
+    own data.
     """
 
-    n: int
-    universe: int
-    masks: tuple[int, ...]
+    __slots__ = ("_n", "_universe", "_masks")
+
+    def __init__(self, n: int, universe: int, masks: tuple[int, ...]):
+        self._n = n
+        self._universe = universe
+        self._masks = masks
+
+    # Read-only: a property over a private slot, read through a C getter.
+    n = property(operator.attrgetter("_n"), doc="Number of sets.")
+    universe = property(operator.attrgetter("_universe"),
+                        doc="Number of bit positions.")
+    masks = property(operator.attrgetter("_masks"), doc="Per-set bitmasks.")
 
     @classmethod
     def from_incidence(cls, n: int, universe: int, positions, set_ids) -> "SetSystem":
@@ -76,33 +87,51 @@ class SetSystem:
         """Exact number of positions covered by the union of the chosen sets."""
         mask = 0
         for u in chosen:
-            if not 0 <= u < self.n:
-                raise IdRangeError(f"set id {u} outside [0, {self.n})")
-            mask |= self.masks[u]
+            if not 0 <= u < self._n:
+                raise IdRangeError(f"set id {u} outside [0, {self._n})")
+            mask |= self._masks[u]
         return mask.bit_count()
 
+    def __eq__(self, other):
+        if not isinstance(other, SetSystem):
+            return NotImplemented
+        return ((self._n, self._universe, self._masks)
+                == (other._n, other._universe, other._masks))
 
-class CoverageInstance:
-    """Immutable set system over elements 0..m-1, stored as n bitmasks.
+    def __hash__(self):
+        return hash((self._n, self._universe, self._masks))
 
-    Bit e of masks[u] is set iff element e belongs to set u. `system`, the
-    masks as a SetSystem, is built once with the instance. `edge_count` and
-    the sorted adjacency views `sets` and `elements` are computed from the
-    masks on first access and cached.
+    def __repr__(self):
+        return (f"SetSystem(n={self._n!r}, universe={self._universe!r}, "
+                f"masks={self._masks!r})")
+
+
+class CoverageInstance(SetSystem):
+    """Immutable set system over elements 0..m-1: a SetSystem whose
+    positions are element ids, so `m` is its `universe` and `system` is the
+    instance itself.
+
+    Bit e of masks[u] is set iff element e belongs to set u. `edge_count` is
+    the masks' popcount; the sorted adjacency views `sets` and `elements`
+    are decoded from the masks on first access and cached.
     """
 
-    __slots__ = ("n", "m", "masks", "system", "_edge_count", "_sets",
-                 "_elements")
+    __slots__ = ("_sets", "_elements")
 
     def __init__(self, n: int, m: int, masks: tuple[int, ...]):
-        self.n = n
-        self.m = m
-        self.masks = masks
-        # The instance as a SetSystem: positions are element ids.
-        self.system = SetSystem(n, m, masks)
-        self._edge_count = None
+        # the slots set here, not through super(): tiny instances are hot
+        self._n = n
+        self._universe = m
+        self._masks = masks
         self._sets = None
         self._elements = None
+
+    m = property(operator.attrgetter("_universe"), doc="Number of elements.")
+
+    @property
+    def system(self) -> "CoverageInstance":
+        """The instance as a SetSystem: itself."""
+        return self
 
     @classmethod
     def from_edges(cls, n: int, m: int, edges: Iterable[Edge], *,
@@ -125,15 +154,13 @@ class CoverageInstance:
                 "pass attach_isolated_seed to attach them")
         rng = np.random.default_rng(attach_isolated_seed)
         owners = np.array([rng.integers(n) for _ in isolated], dtype=np.int64)
-        return cls(n, m, SetSystem.from_incidence(
-            n, m, np.concatenate((v, isolated)), np.concatenate((u, owners))).masks)
+        return cls.from_incidence(n, m, np.concatenate((v, isolated)),
+                                  np.concatenate((u, owners)))
 
     @property
     def edge_count(self) -> int:
         """Number of (set, element) memberships: the masks' total popcount."""
-        if self._edge_count is None:
-            self._edge_count = sum(map(int.bit_count, self.masks))
-        return self._edge_count
+        return sum(map(int.bit_count, self._masks))
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -157,10 +184,6 @@ class CoverageInstance:
                              bitorder="little")
         return bits.reshape(self.n, 8 * width)[:, :self.m]
 
-    def coverage(self, chosen: Iterable[int]) -> int:
-        """Exact number of elements covered by the union of the chosen sets."""
-        return self.system.coverage(chosen)
-
     def degree(self, element: int) -> int:
         return len(self.elements[element])
 
@@ -173,14 +196,6 @@ class CoverageInstance:
         for v, owners in enumerate(self.elements):
             for u in owners:
                 yield (u, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoverageInstance):
-            return NotImplemented
-        return (self.n, self.m, self.masks) == (other.n, other.m, other.masks)
-
-    def __hash__(self):
-        return hash((self.n, self.m, self.masks))
 
     def __repr__(self):
         return f"CoverageInstance(n={self.n}, m={self.m}, edges={self.edge_count})"
@@ -515,8 +530,7 @@ def gen_planted_cover(n: int, m: int, k_star: int, seed: int):
             sub.pop(int(rng.integers(len(sub))))
         pairs += [(e, u) for e in sub]
     positions, set_ids = zip(*pairs)
-    system = SetSystem.from_incidence(n, m, positions, set_ids)
-    return CoverageInstance(n, m, system.masks), tuple(planted)
+    return CoverageInstance.from_incidence(n, m, positions, set_ids), tuple(planted)
 
 
 def gen_disjointness(a_ids: Iterable[int], b_ids: Iterable[int], n: int) -> CoverageInstance:
@@ -530,24 +544,28 @@ def gen_disjointness(a_ids: Iterable[int], b_ids: Iterable[int], n: int) -> Cove
     each ascending.
 
     The masks are set here rather than by `SetSystem.from_incidence`: with
-    two elements, each set's mask is bit 0 and/or bit 1, and a sorted id
-    list is in range iff its two ends are. The exhaustive disjointness
-    sweep builds tens of millions of these instances, so per-id range
-    checks and per-element bit shifts are its main cost.
+    two elements, each set's mask is bit 0 and/or bit 1. Ids are checked
+    by the list itself: a negative min, or an id past its end, sends the
+    build to a slow path that sorts the ids to name the bad one. The
+    exhaustive disjointness sweep builds tens of millions of these
+    instances, so per-id range checks, sorting and per-element bit shifts
+    would be its main cost.
     """
-    a = sorted(set(a_ids))
-    b = sorted(set(b_ids))
+    a, b = tuple(a_ids), tuple(b_ids)
     if not a or not b:
         raise ValueError("both id collections must be nonempty")
-    for ids in (a, b):
-        if ids[0] < 0:
-            raise IdRangeError(f"set id {ids[0]} outside [0, {n})")
-        if ids[-1] >= n:
-            bad = ids[bisect.bisect_left(ids, n)]
-            raise IdRangeError(f"set id {bad} outside [0, {n})")
     masks = [0] * n
-    for u in a:
-        masks[u] = 1
-    for u in b:
-        masks[u] |= 2
+    try:
+        if min(a) < 0 or min(b) < 0:    # a negative index would wrap
+            raise IndexError
+        for u in a:
+            masks[u] = 1
+        for u in b:
+            masks[u] |= 2
+    except (IndexError, TypeError):
+        for ids in (a, b):
+            bad = [u for u in sorted(set(ids)) if not 0 <= u < n]
+            if bad:
+                raise IdRangeError(f"set id {bad[0]} outside [0, {n})") from None
+        raise
     return CoverageInstance(n, 2, tuple(masks))

@@ -178,14 +178,11 @@ def sample_subgraph(inst: CoverageInstance, p: float, seed: int) -> SubgraphView
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must lie in [0, 1], got {p}")
-    hasher = ElementHasher(seed)
     kept = []
-    incident = {}
     if p > 0.0:
-        for e in range(inst.m):
-            if unit_from_u64(hasher.value(e)) <= p:
-                kept.append(e)
-                incident[e] = inst.elements[e]
+        hashes = ElementHasher(seed).values(np.arange(inst.m)).tolist()
+        kept = [e for e, h in enumerate(hashes) if unit_from_u64(h) <= p]
+    incident = {e: inst.elements[e] for e in kept}
     return SubgraphView(n=inst.n, p=p, seed=seed,
                         elements=tuple(kept), incident=incident)
 
@@ -234,7 +231,10 @@ class Sketch:
 
     @property
     def system(self) -> SetSystem:
-        """The retained elements as a SetSystem, positions in stored order."""
+        """The retained elements as a SetSystem, positions in stored order.
+
+        A streaming build seeds it from its arrays; otherwise it is built
+        from the elements on first access."""
         if self._system is None:
             self._system = _positional_system(
                 self.params.n, list(map(_SETS, self.elements)))
@@ -325,12 +325,12 @@ def build_sketch_offline(inst: CoverageInstance, params: SketchParams,
     """
     if inst.n != params.n:
         raise ConfigError(f"instance has n={inst.n} but params expect n={params.n}")
-    hasher = ElementHasher(seed)
-    order = sorted((hasher.value(e), e) for e in range(inst.m))
+    hashes = ElementHasher(seed).values(np.arange(inst.m))
+    order = np.argsort(hashes)      # distinct: the hash is a bijection
     cap = params.degree_cap
     return _finalize_items(params, seed, [
         SketchElement(elem, hash_val, inst.elements[elem][:cap])
-        for hash_val, elem in order])
+        for elem, hash_val in zip(order.tolist(), hashes[order].tolist())])
 
 
 @dataclass
@@ -514,10 +514,17 @@ class StreamingSketchBuilder:
         self._finalized = True
         sets = self._sets.tolist()
         ends = np.cumsum(self._degrees).tolist()
-        sk = _finalize_items(self.params, self.seed, [
-            SketchElement(elem, hash_val, tuple(sets[start:end]))
-            for elem, hash_val, start, end in zip(
-                self._elements.tolist(), self._hashes.tolist(), [0] + ends, ends)])
+        id_lists = [tuple(sets[start:end]) for start, end in zip([0] + ends, ends)]
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        sk = _finalize_items(self.params, self.seed, list(map(
+            tuple.__new__, itertools.repeat(SketchElement),
+            zip(self._elements.tolist(), self._hashes.tolist(), id_lists))))
+        # the SetSystem straight from the state arrays: position i is the
+        # i-th retained element, its set ids the i-th run of _sets
+        count = sk.element_count
+        sk._system = SetSystem.from_incidence(
+            self.params.n, count, np.repeat(np.arange(count), self._degrees[:count]),
+            self._sets[:sk.edge_total])
         self.stats.threshold = sk.threshold
         self.stats.budget_bound = sk.threshold < 1.0
         sk.stats = self.stats

@@ -1,10 +1,10 @@
 """Coverage solvers over instances, views, and sketches.
 
-Every solver runs on a `SetSystem` (see `instance`); instances, views and
-sketches each carry theirs as `.system`. Selection reads only popcounts, so
-the order of positions never matters: largest marginal gain, ties broken by
-smallest set id. Exhaustive oracles sit at the bottom, guarded against
-blowing up.
+Every solver runs on a `SetSystem` (see `instance`); an instance is one,
+and views and sketches carry theirs as `.system`. Selection reads only
+popcounts, so the order of positions never matters: largest marginal gain,
+ties broken by smallest set id. Exhaustive oracles sit at the bottom,
+guarded against blowing up.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import ConfigError, GuardExceededError, IdRangeError, StateError
 from .hashing import derive_seed
-from .instance import (CoverageInstance, Edge, EdgeStream, SetSystem,
-                       edge_blocks, materialize_system)
+from .instance import (Edge, EdgeStream, SetSystem, edge_blocks,
+                       materialize_system)
 from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
                      build_sketch_from_stream, estimate_coverage, recap_sketch)
 
@@ -35,9 +35,9 @@ def as_set_system(target) -> SetSystem:
     their stored order; coverage counts on the adapted system are raw
     (unscaled) retained counts.
     """
-    if isinstance(target, SetSystem):
+    if isinstance(target, SetSystem):     # a CoverageInstance is one
         return target
-    if isinstance(target, (CoverageInstance, Sketch, SubgraphView)):
+    if isinstance(target, (Sketch, SubgraphView)):
         return target.system
     raise TypeError(f"cannot adapt {type(target).__name__} to a SetSystem")
 
@@ -531,17 +531,17 @@ def brute_force_kcover(target, k: int, *,
     """Exact max-k-coverage by enumeration; ties go to the lexicographically
     first combination. Guarded by comb(n, k) <= guard."""
     system = as_set_system(target)
+    if k == 1 and 1 <= system.n <= guard:
+        # max keeps the first set of largest popcount; an equal mask cannot
+        # come before it, so index finds that set
+        best = max(system.masks, key=int.bit_count)
+        return best.bit_count(), (system.masks.index(best),)
     if not 1 <= k <= system.n:
         raise ConfigError(f"k must lie in [1, n={system.n}], got {k}")
     work = math.comb(system.n, k)
     if work > guard:
         raise GuardExceededError(f"comb({system.n}, {k}) = {work} exceeds guard {guard}")
     masks = system.masks
-    if k == 1:
-        # the single sets in order: the first maximum popcount wins the tie
-        counts = [mask.bit_count() for mask in masks]
-        best_value = max(counts)
-        return best_value, (counts.index(best_value),)
     best_value = -1
     best_combo: tuple[int, ...] = ()
     for combo in itertools.combinations(range(system.n), k):

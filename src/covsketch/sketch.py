@@ -19,21 +19,21 @@ Under one seed, sketches at smaller caps and budgets are re-capped hash
 prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
 one pass serves every level of the outlier ladder.
 
-A sketch is itself a small coverage instance: `Sketch.system` (likewise
+A `Sketch` is the builder's arrays, from finalize to file: element ids,
+hashes and degrees in stored order, and the set ids element-major. It is
+also a small coverage instance: `Sketch.system` (likewise
 `SubgraphView.system`) is a `SetSystem` with one position per retained
 element in stored order, so any solver runs on it unchanged.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,21 @@ _MAGIC = b"CVSK"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIddQdIQ")
 _THRESHOLD_AT = struct.calcsize("<4sIIIddQ")   # header offset of the threshold
-_ELEM_HEAD = struct.Struct("<IQI")
+_RECORD = struct.calcsize("<IQI")   # element id, hash, degree; then the set ids
 _U32 = struct.Struct("<I")
+_TRUNCATED = "truncated sketch: expected {} byte(s) for {}"
+
+
+def _check_domain(n: int, k: int, eps: float, delta2: float) -> None:
+    """The (n, k, eps, delta2) domain shared by every SketchParams path."""
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 0.0 < eps <= 0.2:
+        raise ConfigError(f"eps must lie in (0, 0.2], got {eps}")
+    if not 1.0 <= delta2 < math.inf:
+        raise ConfigError(f"delta2 must be finite and >= 1, got {delta2}")
 
 
 @dataclass(frozen=True)
@@ -69,23 +82,11 @@ class SketchParams:
     edge_budget: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.eps <= 0.2:
-            raise ConfigError(f"eps must lie in (0, 0.2], got {self.eps}")
-        if self.delta2 < 1.0:
-            raise ConfigError(f"delta2 must be >= 1, got {self.delta2}")
+        _check_domain(self.n, self.k, self.eps, self.delta2)
         if self.degree_cap < 1 or self.edge_budget < 1:
             raise ConfigError("degree_cap and edge_budget must be >= 1")
         if self.n > MAX_ID + 1:
             raise ConfigError(f"n must be <= 2^32 (set ids are 32-bit), got {self.n}")
-
-    @staticmethod
-    def _delta(eps: float, delta2: float, m_hint: int) -> float:
-        inner = 2.0 + math.log(m_hint) / math.log(1.0 / (1.0 - eps))
-        return delta2 * max(1.0, math.log(inner))
 
     @classmethod
     def derive(cls, n: int, k: int, eps: float, delta2: float = 1.0,
@@ -98,29 +99,21 @@ class SketchParams:
         hint. Both floor at 1, and ln n floors at ln 2, to keep degenerate
         configurations well defined.
         """
-        if not 0.0 < eps <= 0.2:
-            raise ConfigError(f"eps must lie in (0, 0.2], got {eps}")
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        if delta2 < 1.0:
-            raise ConfigError(f"delta2 must be >= 1, got {delta2}")
-        m_hint = max(2, int(m_hint))
-        delta = cls._delta(eps, delta2, m_hint)
+        base = cls.custom(n, k, eps, 1, 1, delta2, m_hint)
         lg = math.log(1.0 / eps)
         cap = max(1, math.ceil(n * lg / (eps * min(k, n))))
-        budget = max(1, math.ceil(
-            24.0 * n * delta * lg * math.log(max(n, 2)) / ((1.0 - eps) * eps ** 3)))
-        return cls(n=n, k=k, eps=eps, delta2=delta2, m_hint=m_hint,
-                   delta=delta, degree_cap=cap, edge_budget=budget)
+        budget = max(1, math.ceil(24.0 * n * base.delta * lg * math.log(max(n, 2))
+                                  / ((1.0 - eps) * eps ** 3)))
+        return replace(base, degree_cap=cap, edge_budget=budget)
 
     @classmethod
     def custom(cls, n: int, k: int, eps: float, degree_cap: int,
                edge_budget: int, delta2: float = 1.0, m_hint: int = 2) -> "SketchParams":
         """Explicit budgets; validation matches `derive`, values are taken as given."""
+        _check_domain(n, k, eps, delta2)
         m_hint = max(2, int(m_hint))
-        delta = cls._delta(eps, delta2, m_hint)
+        inner = 2.0 + math.log(m_hint) / math.log(1.0 / (1.0 - eps))
+        delta = delta2 * max(1.0, math.log(inner))
         return cls(n=n, k=k, eps=eps, delta2=delta2, m_hint=m_hint,
                    delta=delta, degree_cap=degree_cap, edge_budget=edge_budget)
 
@@ -131,14 +124,20 @@ class SketchElement(NamedTuple):
     sets: tuple[int, ...]     # incident set ids, sorted ascending
 
 
-_SETS = operator.attrgetter("sets")
+def _flatten(id_lists: Iterable[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (degrees, set ids) arrays of a sequence of set-id lists."""
+    id_lists = list(id_lists)
+    degrees = np.fromiter(map(len, id_lists), np.int64, len(id_lists))
+    sets = np.fromiter(itertools.chain.from_iterable(id_lists), np.int64,
+                       int(degrees.sum()))
+    return degrees, sets
 
 
-def _positional_system(n: int, id_lists: list[tuple[int, ...]]) -> SetSystem:
-    """The SetSystem whose position i holds the set ids id_lists[i]."""
-    positions = np.repeat(np.arange(len(id_lists)), list(map(len, id_lists)))
-    ids = np.fromiter(itertools.chain.from_iterable(id_lists), np.int64, positions.size)
-    return SetSystem.from_incidence(n, len(id_lists), positions, ids)
+def _system_of(n: int, degrees: np.ndarray, sets: np.ndarray) -> SetSystem:
+    """The SetSystem whose position i holds the i-th degrees[i]-long run of `sets`."""
+    count = degrees.size
+    return SetSystem.from_incidence(n, count, np.repeat(np.arange(count), degrees),
+                                    sets)
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ class SubgraphView:
     @cached_property
     def system(self) -> SetSystem:
         """The kept elements as a SetSystem, positions in `elements` order."""
-        return _positional_system(self.n, [self.incident[e] for e in self.elements])
+        return _system_of(self.n, *_flatten(self.incident[e] for e in self.elements))
 
     def covered_count(self, chosen: Iterable[int]) -> int:
         """Number of kept elements hit by the chosen sets."""
@@ -196,49 +195,70 @@ def cap_element_degrees(view: SubgraphView, cap: int) -> SubgraphView:
                         elements=view.elements, incident=incident)
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only view of `values` as `dtype` (a copy only to convert)."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class Sketch:
-    """Finalized sketch: retained elements in ascending (hash, id) order."""
+    """Finalized sketch: retained elements in ascending (hash, id) order.
 
-    __slots__ = ("params", "seed", "elements", "threshold", "edge_total",
-                 "stats", "_system")
+    Four read-only arrays hold it: `ids`, `hashes` (u64) and `degrees`, one
+    entry per element, and `sets`, each element's set ids in turn, ascending.
+    `elements` (SketchElement records) and `system` (a SetSystem) are decoded
+    from them on first read and cached. The arrays default to empty.
+    """
 
-    def __init__(self, params: SketchParams, seed: int,
-                 elements: tuple[SketchElement, ...], threshold: float,
-                 edge_total: int):
+    __slots__ = ("params", "seed", "ids", "hashes", "degrees", "sets",
+                 "threshold", "edge_total", "stats", "_decoded")
+
+    def __init__(self, params: SketchParams, seed: int, ids, threshold: float,
+                 edge_total: int, *, hashes=(), degrees=(), sets=()):
         self.params = params
         self.seed = seed
-        self.elements = elements
+        self.ids = _frozen(ids, np.int64)
+        self.hashes = _frozen(hashes, np.uint64)
+        self.degrees = _frozen(degrees, np.int64)
+        self.sets = _frozen(sets, np.int64)
         self.threshold = threshold
-        self.edge_total = edge_total
+        self.edge_total = int(edge_total)
         self.stats: BuilderStats | None = None   # set by the streaming builder
-        self._system = None
+        self._decoded: dict = {}     # "elements" and "system", once read
 
     @property
     def element_count(self) -> int:
-        return len(self.elements)
+        return self.ids.size
 
     @property
     def space_units(self) -> int:
         """Abstract footprint: one unit per retained hash plus one per edge."""
-        return len(self.elements) + self.edge_total
+        return self.element_count + self.edge_total
 
     @property
     def full_retention(self) -> bool:
         return self.threshold >= 1.0
 
     def element_ids(self) -> tuple[int, ...]:
-        return tuple(item.element for item in self.elements)
+        return tuple(self.ids.tolist())
+
+    @property
+    def elements(self) -> tuple[SketchElement, ...]:
+        """The arrays decoded as one SketchElement per retained element."""
+        if "elements" not in self._decoded:
+            sets, ends = self.sets.tolist(), np.cumsum(self.degrees).tolist()
+            self._decoded["elements"] = tuple(map(SketchElement._make, zip(
+                self.ids.tolist(), self.hashes.tolist(),
+                (tuple(sets[start:end]) for start, end in zip([0] + ends, ends)))))
+        return self._decoded["elements"]
 
     @property
     def system(self) -> SetSystem:
-        """The retained elements as a SetSystem, positions in stored order.
-
-        A streaming build seeds it from its arrays; otherwise it is built
-        from the elements on first access."""
-        if self._system is None:
-            self._system = _positional_system(
-                self.params.n, list(map(_SETS, self.elements)))
-        return self._system
+        """The retained elements as a SetSystem, positions in stored order."""
+        if "system" not in self._decoded:
+            self._decoded["system"] = _system_of(self.params.n, self.degrees, self.sets)
+        return self._decoded["system"]
 
     def covered_retained(self, chosen: Iterable[int]) -> int:
         """Number of retained elements hit by the chosen sets (unscaled)."""
@@ -255,10 +275,12 @@ class Sketch:
                 and (a.n, a.k, a.eps, a.delta2) == (b.n, b.k, b.eps, b.delta2)
                 and self.threshold == other.threshold
                 and self.edge_total == other.edge_total
-                and self.elements == other.elements)
+                and all(map(np.array_equal,
+                            (self.ids, self.hashes, self.degrees, self.sets),
+                            (other.ids, other.hashes, other.degrees, other.sets))))
 
     def __repr__(self):
-        return (f"Sketch(elements={len(self.elements)}, edges={self.edge_total}, "
+        return (f"Sketch(elements={self.element_count}, edges={self.edge_total}, "
                 f"threshold={self.threshold:.6g})")
 
 
@@ -276,14 +298,18 @@ def estimate_coverage(sk: Sketch, chosen: Iterable[int]) -> CoverageEstimate:
     return CoverageEstimate(raw=raw, scaled=raw / sk.threshold)
 
 
-def _finalize_items(params, seed, elements):
-    """Trim (key-sorted) SketchElements to the minimal budget-meeting prefix."""
-    ends = list(itertools.accumulate(map(len, map(_SETS, elements))))
-    cut = bisect.bisect_left(ends, params.edge_budget)
-    if cut < len(ends):
-        return Sketch(params, seed, tuple(elements[:cut + 1]),
-                      unit_from_u64(elements[cut].hash), ends[cut])
-    return Sketch(params, seed, tuple(elements), 1.0, ends[-1] if ends else 0)
+def _trimmed(params: SketchParams, seed: int, ids, hashes, degrees, sets) -> Sketch:
+    """The sketch of key-sorted arrays, trimmed to the minimal prefix of
+    elements meeting params.edge_budget; all of them, threshold 1, if none does."""
+    ends = np.cumsum(degrees)
+    threshold = 1.0
+    if ends.size and int(ends[-1]) >= params.edge_budget:
+        cut = int(np.searchsorted(ends, params.edge_budget))
+        threshold = unit_from_u64(int(hashes[cut]))
+        ids, hashes, degrees = ids[:cut + 1], hashes[:cut + 1], degrees[:cut + 1]
+        sets = sets[:int(ends[cut])]
+    return Sketch(params, seed, ids, threshold, sets.size,
+                  hashes=hashes, degrees=degrees, sets=sets)
 
 
 def recap_sketch(base: Sketch, params: SketchParams) -> Sketch:
@@ -293,8 +319,8 @@ def recap_sketch(base: Sketch, params: SketchParams) -> Sketch:
     the result is trimmed to the minimal hash prefix meeting
     params.edge_budget, as `build_sketch_offline` would. That needs a base
     capped at params.degree_cap or above that retains the whole prefix;
-    otherwise StateError. When nothing is cut or trimmed, the result shares
-    the base's elements and its SetSystem.
+    otherwise StateError. Uncut arrays are the base's or slices of them; if
+    nothing is cut or trimmed, the decoded elements and SetSystem are shared.
     """
     if params.n != base.params.n:
         raise ConfigError(f"base sketch has n={base.params.n} but params "
@@ -303,15 +329,16 @@ def recap_sketch(base: Sketch, params: SketchParams) -> Sketch:
     if cap > base.params.degree_cap:
         raise StateError(f"cannot raise degree cap {base.params.degree_cap} "
                          f"to {cap}")
-    elements = base.elements
-    if max(map(len, map(_SETS, elements)), default=0) > cap:
-        elements = [item._replace(sets=item.sets[:cap]) for item in elements]
-    sk = _finalize_items(params, base.seed, elements)
+    degrees, sets = base.degrees, base.sets
+    if degrees.size and int(degrees.max()) > cap:
+        rank = np.arange(sets.size) - np.repeat(np.cumsum(degrees) - degrees, degrees)
+        degrees, sets = np.minimum(degrees, cap), sets[rank < cap]
+    sk = _trimmed(params, base.seed, base.ids, base.hashes, degrees, sets)
     if sk.full_retention and not base.full_retention:
         raise StateError(f"base sketch holds {sk.edge_total} edges at cap "
                          f"{cap}, short of the edge budget {params.edge_budget}")
-    if sk.elements is base.elements:
-        sk._system = base.system
+    if (sk.element_count, sk.edge_total) == (base.element_count, base.edge_total):
+        sk._decoded = base._decoded
     return sk
 
 
@@ -328,9 +355,8 @@ def build_sketch_offline(inst: CoverageInstance, params: SketchParams,
     hashes = ElementHasher(seed).values(np.arange(inst.m))
     order = np.argsort(hashes)      # distinct: the hash is a bijection
     cap = params.degree_cap
-    return _finalize_items(params, seed, [
-        SketchElement(elem, hash_val, inst.elements[elem][:cap])
-        for elem, hash_val in zip(order.tolist(), hashes[order].tolist())])
+    degrees, sets = _flatten(inst.elements[e][:cap] for e in order.tolist())
+    return _trimmed(params, seed, order, hashes[order], degrees, sets)
 
 
 @dataclass
@@ -508,30 +534,17 @@ class StreamingSketchBuilder:
         self._sets = self._sets[:kept_edges].copy()
 
     def finalize(self) -> Sketch:
-        """Trim to the minimal hash-prefix meeting edge_budget and freeze."""
+        """Trim to the minimal hash-prefix meeting edge_budget and freeze.
+
+        The sketch takes the state arrays as they are, or prefixes of them."""
         if self._finalized:
             raise StateError("finalize() called twice")
         self._finalized = True
-        sets = self._sets.tolist()
-        ends = np.cumsum(self._degrees).tolist()
-        id_lists = [tuple(sets[start:end]) for start, end in zip([0] + ends, ends)]
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        sk = _finalize_items(self.params, self.seed, list(map(
-            tuple.__new__, itertools.repeat(SketchElement),
-            zip(self._elements.tolist(), self._hashes.tolist(), id_lists))))
-        # the SetSystem straight from the state arrays: position i is the
-        # i-th retained element, its set ids the i-th run of _sets
-        count = sk.element_count
-        sk._system = SetSystem.from_incidence(
-            self.params.n, count, np.repeat(np.arange(count), self._degrees[:count]),
-            self._sets[:sk.edge_total])
+        sk = _trimmed(self.params, self.seed, self._elements, self._hashes,
+                      self._degrees, self._sets)
         self.stats.threshold = sk.threshold
         self.stats.budget_bound = sk.threshold < 1.0
         sk.stats = self.stats
-        self._hashes = self._hashes[:0]
-        self._elements = self._elements[:0]
-        self._degrees = self._degrees[:0]
-        self._sets = self._sets[:0]
         return sk
 
 
@@ -547,44 +560,42 @@ def build_sketch_from_stream(edges: Iterable[Edge], params: SketchParams,
 
 
 def save_sketch(sk: Sketch, stream: IO) -> int:
-    """Write the versioned binary form; returns the byte count."""
+    """Write the versioned binary form; returns the byte count.
+
+    Version 1 is a 60-byte header, then per element in stored order its id
+    (u32), hash (u64), degree (u32) and set ids (u32), little-endian: u32
+    words in which record i starts at word 4 i + (edges before i)."""
     p = sk.params
+    count, total = sk.element_count, sk.edge_total
     head = _HEADER.pack(_MAGIC, _VERSION, p.n, p.k, p.eps, p.delta2,
-                        sk.seed, sk.threshold, len(sk.elements), sk.edge_total)
+                        sk.seed, sk.threshold, count, total)
+    at = 4 * np.arange(count) + np.cumsum(sk.degrees) - sk.degrees
+    body = np.empty(4 * count + total, dtype="<u4")
+    body[at] = sk.ids
+    body[at + 1] = sk.hashes & np.uint64(0xFFFFFFFF)
+    body[at + 2] = sk.hashes >> np.uint64(32)
+    body[at + 3] = sk.degrees
+    body[np.arange(total) + 4 * np.repeat(np.arange(1, count + 1), sk.degrees)] = sk.sets
     stream.write(head)
-    written = len(head)
-    for item in sk.elements:
-        rec = _ELEM_HEAD.pack(item.element, item.hash, len(item.sets))
-        stream.write(rec)
-        written += len(rec)
-        for u in item.sets:
-            stream.write(_U32.pack(u))
-            written += 4
-    return written
-
-
-def _read_exact(stream, size, offset, what):
-    data = stream.read(size)
-    if len(data) != size:
-        raise ParseError(f"truncated sketch: expected {size} byte(s) for {what}",
-                         offset=offset)
-    return data
+    stream.write(body.tobytes())
+    return len(head) + body.nbytes
 
 
 def load_sketch(stream: IO) -> Sketch:
-    """Read a sketch written by save_sketch.
+    """Read a sketch written by save_sketch, as whole arrays.
 
     Budget parameters are re-derived from the stored (n, k, eps, delta2), so
     a sketch built with custom budgets loads with formula params; the stored
     structure (elements, hashes, threshold, edge total) is authoritative and
     is all that estimation and solving consume. A file that breaks a sketch
-    invariant raises ParseError: set ids must be strictly ascending and below
-    n, elements strictly ascending in (hash, id), and a threshold other than
-    1 must be the unit hash of the last element.
+    invariant raises ParseError at the first bad record in file order: set
+    ids must be strictly ascending and below n, elements strictly ascending
+    in (hash, id), and a threshold other than 1 must be the unit hash of the
+    last element. One walk over the degree fields finds the records.
     """
-    offset = 0
-    head = _read_exact(stream, _HEADER.size, offset, "header")
-    offset += _HEADER.size
+    head = stream.read(_HEADER.size)
+    if len(head) != _HEADER.size:
+        raise ParseError(_TRUNCATED.format(_HEADER.size, "header"), offset=0)
     magic, version, n, k, eps, delta2, seed, threshold, count, edge_total = \
         _HEADER.unpack(head)
     if magic != _MAGIC:
@@ -592,34 +603,59 @@ def load_sketch(stream: IO) -> Sketch:
     if version != _VERSION:
         raise ParseError(f"unsupported sketch version {version}", offset=4)
     params = SketchParams.derive(n=n, k=k, eps=eps, delta2=delta2)
-    elements = []
-    total = 0
+    body = stream.read()
+    size, starts, end = len(body), [], 0    # byte offsets of the records in the body
     for _ in range(count):
-        rec = _read_exact(stream, _ELEM_HEAD.size, offset, "element record")
-        elem, hash_val, degree = _ELEM_HEAD.unpack(rec)
-        if elements and (hash_val, elem) <= (elements[-1].hash, elements[-1].element):
+        if end + _RECORD > size:
+            break
+        starts.append(end)
+        end += _RECORD + 4 * _U32.unpack_from(body, end + _RECORD - 4)[0]
+    whole = len(starts) - (end > size)      # records with all their set ids
+    words = np.frombuffer(body, dtype="<u4", count=size // 4)
+    at = np.array(starts, dtype=np.int64) // 4
+    ids, degrees = words[at].astype(np.int64), words[at + 3].astype(np.int64)
+    hashes = words[at + 1] | words[at + 2].astype(np.uint64) << np.uint64(32)
+    owner = np.repeat(np.arange(whole), degrees[:whole])
+    sets = words[np.arange(owner.size) + 4 * owner + 4].astype(np.int64)
+
+    # Find the first bad record in file order, then its first failed check.
+    bad = np.zeros(len(starts) + 1, dtype=bool)
+    bad[1:len(starts)] = (hashes[1:] < hashes[:-1]) | (
+        (hashes[1:] == hashes[:-1]) & (ids[1:] <= ids[:-1]))
+    bad[owner[1:][(owner[1:] == owner[:-1]) & (sets[1:] <= sets[:-1])]] = True
+    bad[owner[sets >= n]] = True
+    bad[whole] |= whole < count
+    if bad.any():
+        i = int(bad.argmax())
+        if i == len(starts):
+            raise ParseError(_TRUNCATED.format(_RECORD, "element record"),
+                             offset=_HEADER.size + end)
+        offset = _HEADER.size + starts[i]
+        elem = int(ids[i])
+        if i and (int(hashes[i]), elem) <= (int(hashes[i - 1]), int(ids[i - 1])):
             raise ParseError(f"element {elem} out of ascending (hash, id) order",
                              offset=offset)
-        offset += _ELEM_HEAD.size
-        raw = _read_exact(stream, 4 * degree, offset, "set id list")
-        sets = tuple(u[0] for u in _U32.iter_unpack(raw))
-        if any(a >= b for a, b in zip(sets, sets[1:])):
+        offset += _RECORD
+        if i == whole:
+            raise ParseError(_TRUNCATED.format(4 * int(degrees[i]), "set id list"),
+                             offset=offset)
+        own = sets[owner == i].tolist()
+        if any(a >= b for a, b in zip(own, own[1:])):
             raise ParseError(f"set ids of element {elem} are not strictly "
                              "ascending", offset=offset)
-        if sets and sets[-1] >= n:
-            raise ParseError(f"set id {sets[-1]} of element {elem} outside "
-                             f"[0, {n})", offset=offset)
-        offset += 4 * degree
-        elements.append(SketchElement(elem, hash_val, sets))
-        total += degree
+        raise ParseError(f"set id {own[-1]} of element {elem} outside "
+                         f"[0, {n})", offset=offset)
+
+    total = int(degrees.sum())
     if total != edge_total:
         raise ParseError(f"edge total mismatch: header says {edge_total}, "
-                         f"records hold {total}", offset=offset)
+                         f"records hold {total}", offset=_HEADER.size + end)
     if threshold != 1.0 and not (
-            elements and threshold == unit_from_u64(elements[-1].hash)):
+            count and threshold == unit_from_u64(int(hashes[-1]))):
         raise ParseError(f"threshold {threshold!r} is neither 1 nor the unit "
                          "hash of the last element", offset=_THRESHOLD_AT)
-    trailing = stream.read(1)
-    if trailing:
-        raise ParseError("trailing bytes after last element record", offset=offset)
-    return Sketch(params, seed, tuple(elements), threshold, edge_total)
+    if end < size:
+        raise ParseError("trailing bytes after last element record",
+                         offset=_HEADER.size + end)
+    return Sketch(params, seed, ids, threshold, edge_total,
+                  hashes=hashes, degrees=degrees, sets=sets)

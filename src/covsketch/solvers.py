@@ -384,7 +384,7 @@ def setcover_outliers(source, n: int, opts: OutlierParams, seed: int) -> Solutio
         for params, _ in configs))
     edges = source() if callable(source) else source
     base = build_sketch_from_stream(edges, base_params, derive_seed(seed, 0))
-    widest = max((len(item.sets) for item in base.elements), default=0)
+    widest = int(base.degrees.max(initial=0))
     last_pair = None
     for idx, (k_prime, (params, pick_budget)) in enumerate(zip(levels, configs)):
         pair = (min(params.degree_cap, widest), params.edge_budget)

@@ -8,8 +8,12 @@ perfbench/layers.py patches `covsketch.harness.load_edges` in traced
 `solvers.as_set_system(target)`, `cli.build_per_set_sketches(edges, n,
 capacity, seed, reps=...)` and `cli.greedy_kcover(target, k)`. Its
 disjointness sweep calls `instance.gen_disjointness` and
-`solvers.brute_force_kcover` through their modules. The benchmark's files
-stay as they are, so the package keeps these names and signatures.
+`solvers.brute_force_kcover` through their modules. Of each sketch it
+builds, `layers.note_finalize` reads `edge_total`, `element_count`,
+`threshold` and `space_units`, and `workloads.sketch_checks` reads the
+decoded `elements` (`.element`, `.hash`, `.sets`) and round-trips the
+sketch through `save_sketch`/`load_sketch`. The benchmark's files stay as
+they are, so the package keeps these names and signatures.
 """
 
 import io
@@ -17,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from covsketch import (CoverageInstance, cli, harness, random_edge_stream,
-                       solvers, write_edges_binary)
+from covsketch import (CoverageInstance, SketchParams, StreamingSketchBuilder,
+                       cli, harness, random_edge_stream, solvers,
+                       write_edges_binary)
 from covsketch.harness import GenEdgeSource, parse_gen_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -83,3 +88,27 @@ def test_sweep_calls_stay_module_attributes():
     assert callable(vars(solvers)["brute_force_kcover"])
     pair = instance.gen_disjointness([0, 2], [2], 3)
     assert solvers.brute_force_kcover(pair, 1) == (2, (2,))
+
+
+@pytest.mark.parametrize("budget", [300, 10**6], ids=["binding", "non-binding"])
+def test_sketch_keeps_what_the_benchmark_reads(monkeypatch, budget):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer, patched
+    from workloads import sketch_checks
+    tracer = Tracer(record=False)
+    params = SketchParams.custom(n=20, k=2, eps=0.2, degree_cap=3,
+                                 edge_budget=budget)
+    with patched(layers.targets(tracer)):
+        builder = StreamingSketchBuilder(params, seed=4)
+        builder.extend(random_edge_stream(20, 400, 0.1, 6))
+        sk = builder.finalize()
+    counts = tracer.op_counts(0)
+    assert counts["sketch.retained_edges"] == sk.edge_total
+    assert counts["sketch.retained_elements"] == sk.element_count
+    assert counts["sketch.budget_bound"] == (budget == 300)
+    assert tracer.op_notes(0)["sketch.threshold"] == [sk.threshold]
+    assert sk.space_units == sk.element_count + sk.edge_total
+    item = sk.elements[0]
+    assert (type(item.element), type(item.hash), type(item.sets)) == (int, int, tuple)
+    assert sketch_checks(sk) == []

@@ -4,13 +4,16 @@
 here as the reference: a dict of incident sets per element, a max-heap of
 (hash, id) keys, eviction the moment the retained count passes
 edge_budget + degree_cap, and a reject key below which nothing evicted comes
-back. The block builder must serialize to the same bytes whatever the block
-size.
+back. It writes its sketch in the version-1 file format itself, one
+`struct` record at a time, so the format is pinned by a writer that shares
+nothing with `save_sketch`. The block builder must serialize to the same
+bytes whatever the block size.
 """
 
 import heapq
 import io
 import random
+import struct
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,7 +23,6 @@ from covsketch import (ElementHasher, SketchParams, StreamingSketchBuilder,
                        random_edge_stream, save_sketch)
 from covsketch.hashing import unit_from_u64
 from covsketch.instance import BLOCK_EDGES
-from covsketch.sketch import Sketch, SketchElement
 
 
 def scalar_sketch(edges, params, seed):
@@ -47,13 +49,25 @@ def scalar_sketch(edges, params, seed):
             reject = (-neg_h, -neg_v)
             total -= len(incident.pop(-neg_v))
             del hashes[-neg_v]
-    kept, total = [], 0
+    kept, total, threshold = [], 0, 1.0
     for h, v in sorted((h, v) for v, h in hashes.items()):
-        kept.append(SketchElement(v, h, tuple(sorted(incident[v]))))
-        total += len(kept[-1].sets)
+        kept.append((v, h, sorted(incident[v])))
+        total += len(kept[-1][2])
         if total >= params.edge_budget:
-            return Sketch(params, seed, tuple(kept), unit_from_u64(h), total)
-    return Sketch(params, seed, tuple(kept), 1.0, total)
+            threshold = unit_from_u64(h)
+            break
+    return _v1_bytes(params, seed, threshold, kept, total)
+
+
+def _v1_bytes(params, seed, threshold, records, total):
+    """Version-1 sketch bytes from (element, hash, set ids) records."""
+    out = struct.pack("<4sIIIddQdIQ", b"CVSK", 1, params.n, params.k,
+                      params.eps, params.delta2, seed, threshold,
+                      len(records), total)
+    for elem, hash_val, sets in records:
+        out += struct.pack("<IQI", elem, hash_val, len(sets))
+        out += b"".join(struct.pack("<I", u) for u in sets)
+    return out
 
 
 def _bytes(sk):
@@ -91,7 +105,7 @@ def test_block_builder_matches_scalar_reference(case, rng):
     shuffled = list(edges)
     rng.shuffle(shuffled)
     for order in (edges, shuffled):
-        want = _bytes(scalar_sketch(order, params, seed))
+        want = scalar_sketch(order, params, seed)
         for block in (1, 2, 7, BLOCK_EDGES):
             assert _bytes(_block_sketch(order, params, seed, block)) == want
 
@@ -104,7 +118,7 @@ def test_block_builder_matches_scalar_reference_across_full_blocks():
                                      edge_budget=budget)
         builder = StreamingSketchBuilder(params, seed=5)
         builder.extend(edges)
-        assert _bytes(builder.finalize()) == _bytes(scalar_sketch(edges, params, 5))
+        assert _bytes(builder.finalize()) == scalar_sketch(edges, params, 5)
 
 
 @settings(max_examples=100, deadline=None)

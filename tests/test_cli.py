@@ -129,6 +129,29 @@ def test_build_sketch_budget_flags_must_pair(tmp_path, capsys):
     assert "together" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("build-sketch", "--eps", "0"),
+    ("build-sketch", "--eps", "1"),
+    ("build-sketch", "--eps", "-1"),
+    ("kcover", "--eps", "12"),      # kcover sketches at eps / 12 = 1
+    ("kcover", "--eps", "-1"),
+], ids=["build-0", "build-1", "build-neg", "kcover-12", "kcover-neg"])
+def test_custom_budgets_refuse_eps_outside_the_domain(tmp_path, capsys, argv):
+    out = ("--out", str(tmp_path / "x.bin")) if argv[0] == "build-sketch" else ()
+    code, _, err = run(capsys, *argv, "--gen", "random:n=5,m=20,p=0.3",
+                       "--k", "2", "--degree-cap", "3", "--edge-budget", "50", *out)
+    assert code == 2
+    assert "eps must lie in (0, 0.2]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("delta2", ["0.5", "inf", "nan"])
+def test_build_sketch_refuses_delta2_outside_the_domain(tmp_path, capsys, delta2):
+    code, _, err = run(capsys, "build-sketch", "--gen", "random:n=5,m=20,p=0.3",
+                       "--k", "2", "--delta2", delta2, "--out", str(tmp_path / "x.bin"))
+    assert code == 2
+    assert "delta2 must be finite and >= 1" in err
+
+
 def test_build_sketch_from_file_with_sidecar(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     run_json(capsys, "gen", "--gen", "random:n=5,m=30,p=0.3", "--seed", "7",

@@ -4,8 +4,8 @@ Pins what that design keeps: value equality and hashing across the two
 types, read-only fields, pickling and copying, the SetSystem repr, the
 solvers' adaptation and brute-force errors; `gen_disjointness` against its
 former `sorted(set(...))` body, kept here as the reference; and the
-SetSystem a streaming build seeds from its arrays, plus the ingest-side
-hashing, against the tuple-built and scalar-hash references.
+SetSystem of a streaming build's sketch, plus the ingest-side hashing,
+against a bit-by-bit and a scalar-hash reference.
 """
 
 import bisect
@@ -22,7 +22,7 @@ from covsketch import (CoverageInstance, SetSystem, SketchParams,
                        random_edge_stream, sample_subgraph)
 from covsketch.errors import ConfigError, GuardExceededError, IdRangeError
 from covsketch.hashing import ElementHasher, unit_from_u64
-from covsketch.sketch import SketchElement, _positional_system
+from covsketch.sketch import SketchElement
 from covsketch.solvers import as_set_system
 
 
@@ -118,13 +118,23 @@ def test_gen_disjointness_matches_sorted_reference(n, data):
 # The streaming build's SetSystem and the ingest-side hashing
 
 
+def _reference_system(n, id_lists):
+    """The SetSystem whose position i holds the set ids id_lists[i],
+    set one bit at a time."""
+    masks = [0] * n
+    for pos, ids in enumerate(id_lists):
+        for u in ids:
+            masks[u] |= 1 << pos
+    return SetSystem(n, len(id_lists), tuple(masks))
+
+
 @pytest.mark.parametrize("budget", [150, 10**6], ids=["binding", "non-binding"])
 def test_finalize_seeds_the_tuple_built_system(budget):
     params = SketchParams.custom(n=30, k=3, eps=0.1, degree_cap=4,
                                  edge_budget=budget)
     sk = build_sketch_from_stream(random_edge_stream(30, 400, 0.1, 8), params, 5)
     assert sk.full_retention == (budget == 10**6)
-    reference = _positional_system(30, [item.sets for item in sk.elements])
+    reference = _reference_system(30, [item.sets for item in sk.elements])
     assert sk.system == reference and sk.system.masks == reference.masks
     assert sk.system.universe == sk.element_count
     assert all(type(item) is SketchElement and type(item.sets) is tuple

@@ -3,8 +3,11 @@
 import io
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsketch import (CoverageInstance, Sketch, SketchParams,
                        StreamingSketchBuilder, build_sketch_from_stream,
@@ -459,6 +462,96 @@ def test_load_rejects_threshold_off_the_last_hash():
 def test_load_empty_stream():
     with pytest.raises(ParseError):
         load_sketch(io.BytesIO(b""))
+
+
+def _saved(sk):
+    buf = io.BytesIO()
+    save_sketch(sk, buf)
+    return buf.getvalue()
+
+
+@st.composite
+def streamed_sketches(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 80))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                          max_size=300))
+    params = SketchParams.custom(n=n, k=1, eps=0.2,
+                                 degree_cap=draw(st.integers(1, n + 1)),
+                                 edge_budget=draw(st.integers(1, 350)))
+    return build_sketch_from_stream(edges, params, draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(streamed_sketches())
+def test_save_load_save_is_byte_identical(sk):
+    blob = _saved(sk)
+    assert len(blob) == 60 + 16 * sk.element_count + 4 * sk.edge_total
+    loaded = load_sketch(io.BytesIO(blob))
+    assert loaded == sk and _saved(loaded) == blob
+    assert loaded.elements == sk.elements
+    assert loaded.system == sk.system
+
+
+_N = 5
+_RECORDS = [(e, (e + 1) << 40, tuple(range(2 + e % 3))) for e in range(30)]
+
+
+def _record_at(records, i):
+    """Byte offset of record i: the header, i records, their set ids."""
+    return 60 + 16 * i + 4 * sum(len(sets) for _, _, sets in records[:i])
+
+
+def _with(records, i, kind):
+    elem, hash_val, sets = records[i]
+    if kind == "set-order":
+        sets = sets[::-1]
+    elif kind == "set-range":
+        sets = sets[:-1] + (_N + 2,)
+    else:                                   # below the previous key
+        hash_val = records[i - 1][1] - 1
+    return records[:i] + [(elem, hash_val, sets)] + records[i + 1:]
+
+
+_FAULTS = {    # kind: (message, offset past the start of the bad record)
+    "set-order": ("set ids of element {i} are not strictly ascending", 16),
+    "set-range": (f"set id {_N + 2} of element {{i}} outside [0, {_N})", 16),
+    "key-order": ("element {i} out of ascending (hash, id) order", 0),
+}
+
+
+@pytest.mark.parametrize("i", [1, 16, 29])
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_load_reports_the_first_bad_record_in_file_order(i, kind):
+    message, past = _FAULTS[kind]
+    records = _with(_RECORDS, i, kind)
+    # a later record breaks another invariant; the earlier one is reported
+    if i + 2 < len(records):
+        later = "set-range" if kind == "key-order" else "key-order"
+        records = _with(records, i + 2, later)
+    with pytest.raises(ParseError) as err:
+        load_sketch(io.BytesIO(_craft(_N, 3, 1.0, records)))
+    assert str(err.value).startswith(message.format(i=i))
+    assert err.value.offset == _record_at(records, i) + past
+
+
+@pytest.mark.parametrize("i", [1, 16, 29])
+def test_load_reports_truncation_and_trailing_bytes_at_their_offset(i):
+    blob = _craft(_N, 3, 1.0, _RECORDS)
+    start = _record_at(_RECORDS, i)
+    degree = len(_RECORDS[i][2])
+    cases = [(blob[:start + 5], "expected 16 byte(s) for element record", start),
+             (blob[:start + 18], f"expected {4 * degree} byte(s) for set id list",
+              start + 16),
+             (blob + b"\x00", "trailing bytes after last element record",
+              _record_at(_RECORDS, len(_RECORDS)))]
+    # a bad key before the cut outranks the truncation
+    keyed = _craft(_N, 3, 1.0, _with(_RECORDS, i, "key-order"))
+    cases.append((keyed[:start + 18], "out of ascending (hash, id) order", start))
+    for data, message, offset in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            load_sketch(io.BytesIO(data))
+        assert err.value.offset == offset
 
 
 def test_sketch_repr_and_space_units():

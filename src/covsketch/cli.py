@@ -29,8 +29,8 @@ from .instance import (EdgeStream, load_edge_blocks, materialize_system,
                        write_edges_binary, write_edges_text, write_metadata)
 from .sketch import SketchParams, StreamingSketchBuilder, save_sketch
 from .solvers import (OutlierParams, brute_force_kcover, brute_force_setcover,
-                      greedy_kcover, kcover_via_sketch, setcover_multipass,
-                      setcover_outliers)
+                      greedy_kcover, kcover_sketch_eps, kcover_via_sketch,
+                      setcover_multipass, setcover_outliers)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def cmd_kcover(args) -> int:
     report = RunReport(command="kcover", label=src.label, seed=args.seed)
     n, m = _resolve_shape(src, args, need_n=True, need_m=False, report=report)
     m_hint = m or 2
-    params = _custom_params(args, n, args.k, args.eps / 12.0, m_hint, 1.0)
+    params = _custom_params(args, n, args.k, kcover_sketch_eps(args.eps), m_hint, 1.0)
     timer = PhaseTimer()
     builder_seed = derive_seed(args.seed, SEED_BUILDER)
     with timer.time("solve"):

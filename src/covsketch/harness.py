@@ -205,27 +205,59 @@ def scan_shape(edges: Iterable[Edge]) -> tuple[int, int, int]:
 
 def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
                      ) -> tuple[int, int]:
-    """(covered, universe) distinct-element counts from one stream pass."""
+    """(covered, universe) distinct-element counts from one stream pass.
+
+    A boolean table over the span of the chosen ids finds the covering
+    arrivals. Each count's distinct ids are sorted runs (see `_Runs`), which
+    hold at most about twice the distinct ids, plus one block.
+    """
     picks = np.array(sorted(set(chosen)), dtype=np.int64)
-    covered = np.empty(0, dtype=np.int64)
-    universe = np.empty(0, dtype=np.int64)
+    covered, universe = _Runs(), _Runs()
+    if picks.size:
+        below = int(picks[0]) - 1       # table[0] and table[-1] are the misses
+        table = np.zeros(int(picks[-1]) - below + 2, dtype=bool)
+        table[picks - below] = True
     for u, v in edge_blocks(edges):
-        universe = _union(universe, v)
+        universe.add(v)
         if picks.size:
-            covered = _union(covered, v[np.isin(u, picks, kind="table")])
-    return (int(covered.size), int(universe.size))
+            covered.add(v[table[np.clip(u, below, below + table.size - 1) - below]])
+    return (covered.count(), universe.count())
 
 
-def _union(ids: np.ndarray, more: np.ndarray) -> np.ndarray:
-    """Sorted distinct ids of both arrays; `ids` is sorted and distinct."""
-    if more.size > 1 and not (more[1:] >= more[:-1]).all():
-        more = np.sort(more)
-    merged = np.concatenate((ids, more))
-    merged.sort(kind="stable")       # two sorted runs: a linear merge
-    keep = np.empty(merged.size, dtype=bool)
+class _Runs:
+    """Distinct ids as sorted runs, merged like a binary counter.
+
+    Each added block is de-duplicated into a run, and a run is merged into
+    the one before it until it is at most half that one's size. So the runs
+    hold at most twice the largest, and each id is merged O(log blocks) times.
+    """
+
+    def __init__(self):
+        self.runs: list[np.ndarray] = []
+
+    def add(self, ids: np.ndarray) -> None:
+        if not ids.size:
+            return
+        run = _distinct(ids if (ids[1:] >= ids[:-1]).all() else np.sort(ids))
+        while self.runs and 2 * run.size > self.runs[-1].size:
+            run = _union(self.runs.pop(), run)
+        self.runs.append(run)
+
+    def count(self) -> int:
+        return _union(*self.runs).size if self.runs else 0
+
+
+def _union(*runs: np.ndarray) -> np.ndarray:
+    """The sorted distinct ids of sorted runs."""
+    return _distinct(np.sort(np.concatenate(runs), kind="stable"))  # a merge
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct ids of a sorted array."""
+    keep = np.empty(ids.size, dtype=bool)
     keep[:1] = True
-    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
-    return merged[keep]
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 class PhaseTimer:

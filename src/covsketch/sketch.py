@@ -9,9 +9,10 @@ elements divided by that threshold estimate coverage on the full instance.
 Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
 that ingests the edge stream a block at a time (at most BLOCK_EDGES edges)
-and, after each block, evicts the largest-hash elements until at most
-edge_budget + degree_cap edges remain. The streaming builder therefore holds
-edge_budget + degree_cap retained edges plus one block in flight. Under one
+and keeps only the hash prefix of elements holding at most
+edge_budget + degree_cap edges, finding that cut before it writes the block
+in. The streaming builder therefore holds edge_budget + degree_cap retained
+edges plus one block in flight, at every point of the pass. Under one
 (seed, params) pair and a cap that never binds, the two finalized sketches
 are byte-identical after serialization.
 
@@ -56,6 +57,9 @@ def _check_domain(n: int, k: int, eps: float, delta2: float) -> None:
         raise ConfigError(f"n must be >= 1, got {n}")
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if max(n, k) > MAX_ID:
+        raise ConfigError(f"n and k must be <= 2^32 - 1 (the sketch header "
+                          f"stores them as u32), got n={n}, k={k}")
     if not 0.0 < eps <= 0.2:
         raise ConfigError(f"eps must lie in (0, 0.2], got {eps}")
     if not 1.0 <= delta2 < math.inf:
@@ -85,8 +89,6 @@ class SketchParams:
         _check_domain(self.n, self.k, self.eps, self.delta2)
         if self.degree_cap < 1 or self.edge_budget < 1:
             raise ConfigError("degree_cap and edge_budget must be >= 1")
-        if self.n > MAX_ID + 1:
-            raise ConfigError(f"n must be <= 2^32 (set ids are 32-bit), got {self.n}")
 
     @classmethod
     def derive(cls, n: int, k: int, eps: float, delta2: float = 1.0,
@@ -386,15 +388,23 @@ class StreamingSketchBuilder:
     """Single-pass builder over (set_id, element_id) arrivals, a block at a time.
 
     For each block it range-checks the ids, hashes the element ids once,
-    drops every arrival whose hash is at or above the reject hash (the hash
-    of the last evicted element; an evicted element is never re-admitted),
+    drops every arrival whose hash is at or above the reject hash (the
+    least hash evicted so far; an evicted element is never re-admitted), and
     keeps the first degree_cap distinct set ids per element in arrival order
     (an element whose list is full accepts no more, even after evictions
-    make room), and then evicts whole elements in descending hash order
-    until at most edge_budget + degree_cap edges remain. The final state
-    does not depend on where block boundaries fall, so the pass is
-    equivalent to offline admission in hash order. Memory: the retained
-    edges plus one block in flight.
+    make room). It then merges the state's and the block's per-element
+    degrees in hash order and cuts the longest prefix of elements holding at
+    most edge_budget + degree_cap edges. The elements past the cut are
+    evicted whole, and only the survivors are written into the state, so an
+    edge evicted in its own block is never stored. Memory: at most
+    edge_budget + degree_cap retained edges, even within a block, plus the
+    block in flight.
+
+    The final state does not depend on where block boundaries fall. It
+    equals offline admission in hash order (`build_sketch_offline`) when the
+    cap never binds, or when each element's set ids arrive in ascending
+    order; otherwise an element keeps its first degree_cap arrivals rather
+    than its degree_cap smallest set ids.
     """
 
     __slots__ = ("params", "seed", "stats", "_hasher", "_hashes", "_elements",
@@ -450,7 +460,6 @@ class StreamingSketchBuilder:
             u, v, h = u[fresh], v[fresh], h[fresh]
         if h.size:
             self._admit(u, v, h)
-            self._evict()
 
     def _check_ids(self, u, v) -> None:
         n = self.params.n
@@ -465,10 +474,11 @@ class StreamingSketchBuilder:
         raise IdRangeError(f"element id {v[i]} exceeds the 32-bit range")
 
     def _admit(self, u, v, h) -> None:
-        """Merge the first degree_cap distinct set ids per element into the state."""
-        n = self.params.n
+        """Admit the first degree_cap distinct set ids per element, find the
+        budget cut on the merged degrees, and write only what survives it."""
+        n, cap = self.params.n, self.params.degree_cap
         order = np.argsort(h, kind="stable")    # by element, arrival order within
-        u, v, h = u[order], v[order], h[order]
+        u, h = u[order], h[order]
         first = np.empty(h.size, dtype=bool)
         first[0] = True
         np.not_equal(h[1:], h[:-1], out=first[1:])
@@ -499,39 +509,45 @@ class StreamingSketchBuilder:
         rank = np.arange(g.size) - np.repeat(run, np.diff(np.append(run, g.size)))
         have = np.zeros(group_hash.size, dtype=np.int64)
         have[known] = self._degrees[slot[known]]
-        kept = kept[rank < self.params.degree_cap - have[g]]
+        kept = kept[rank < cap - have[g]]
         self.stats.dropped_duplicate_or_cap += int(h.size - kept.size)
 
-        # Merge: each admitted set id goes to its (hash, set id) place.
+        # The cut: the longest hash prefix of state and block elements merged
+        # that holds at most edge_budget + degree_cap edges. Block elements
+        # before it are a prefix of the groups, state ones a prefix of the state.
+        added = np.bincount(group[kept], minlength=group_hash.size)
+        new = ~known
+        merged_at = slot + np.cumsum(new) - new     # block elements' merged places
+        degrees = np.insert(self._degrees, slot[new], added[new])
+        degrees[merged_at[known]] += added[known]
+        ends = np.cumsum(degrees)
+        survive = int(np.searchsorted(ends, self.params.edge_budget + cap,
+                                      side="right"))
+        groups = int(np.searchsorted(merged_at, survive))
+        fresh = np.flatnonzero(new[:groups])    # new elements before the cut
+        from_state = survive - fresh.size
+        if survive < degrees.size:
+            # the first evicted element is the block's next one or the state's
+            ours = groups < group_hash.size and merged_at[groups] == survive
+            self._reject = group_hash[groups] if ours else self._hashes[from_state]
+            self.stats.evicted_elements += int(degrees.size - survive)
+            self.stats.evicted_edges += int(degrees[survive:].sum())
+            degrees = degrees[:survive].copy()
+
+        # Write the survivors: each admitted set id at its (hash, set id) place.
+        kept = kept[group[kept] < groups]
         kept = kept[np.argsort(key[kept], kind="stable")]
         g, x = group[kept], u[kept]
         where = starts[slot[g]]
         mine = known[g]
         if state_key is not None and mine.any():
             where[mine] = np.searchsorted(state_key, slot[g[mine]] * n + x[mine])
-        added = np.bincount(g, minlength=group_hash.size)
-        self._degrees[slot[known]] += added[known]
-        new = ~known
-        self._hashes = np.insert(self._hashes, slot[new], group_hash[new])
-        self._elements = np.insert(self._elements, slot[new], v[first][new])
-        self._degrees = np.insert(self._degrees, slot[new], added[new])
-        self._sets = np.insert(self._sets, where, x)
-
-    def _evict(self) -> None:
-        limit = self.params.edge_budget + self.params.degree_cap
-        total = self._sets.size
-        if total <= limit:
-            return
-        ends = np.cumsum(self._degrees)
-        keep = int(np.searchsorted(ends, limit, side="right"))
-        kept_edges = int(ends[keep - 1]) if keep else 0
-        self._reject = self._hashes[keep]
-        self.stats.evicted_elements += int(self._hashes.size - keep)
-        self.stats.evicted_edges += int(total - kept_edges)
-        self._hashes = self._hashes[:keep].copy()
-        self._elements = self._elements[:keep].copy()
-        self._degrees = self._degrees[:keep].copy()
-        self._sets = self._sets[:kept_edges].copy()
+        self._hashes = np.insert(self._hashes[:from_state], slot[fresh],
+                                 group_hash[fresh])
+        self._elements = np.insert(self._elements[:from_state], slot[fresh],
+                                   v[order[first]][fresh])
+        self._degrees = degrees
+        self._sets = np.insert(self._sets[:starts[from_state]], where, x)
 
     def finalize(self) -> Sketch:
         """Trim to the minimal hash-prefix meeting edge_budget and freeze.
@@ -602,7 +618,10 @@ def load_sketch(stream: IO) -> Sketch:
         raise ParseError(f"bad magic {magic!r}", offset=0)
     if version != _VERSION:
         raise ParseError(f"unsupported sketch version {version}", offset=4)
-    params = SketchParams.derive(n=n, k=k, eps=eps, delta2=delta2)
+    try:
+        params = SketchParams.derive(n=n, k=k, eps=eps, delta2=delta2)
+    except ConfigError as exc:
+        raise ParseError(str(exc), offset=0) from None
     body = stream.read()
     size, starts, end = len(body), [], 0    # byte offsets of the records in the body
     for _ in range(count):

@@ -181,6 +181,13 @@ def threshold_greedy(target, k: int, eps_prime: float) -> Solution:
 # Streaming k-cover
 
 
+def kcover_sketch_eps(eps: float) -> float:
+    """The sketch's share eps / 12 of a k-cover error budget eps in (0, 2.4]."""
+    if not 0.0 < eps <= 2.4:
+        raise ConfigError(f"eps must lie in (0, 2.4] so eps/12 <= 1/5, got {eps}")
+    return eps / 12.0
+
+
 def kcover_via_sketch(edges: Iterable[Edge], n: int, k: int, eps: float,
                       seed: int, *, m_hint: int = 2,
                       params: SketchParams | None = None) -> Solution:
@@ -190,10 +197,9 @@ def kcover_via_sketch(edges: Iterable[Edge], n: int, k: int, eps: float,
     confidence exponent 2 + ln n; pass `params` to override the derived
     budgets (structure of the run is otherwise identical).
     """
-    if not 0.0 < eps <= 2.4:
-        raise ConfigError(f"eps must lie in (0, 2.4] so eps/12 <= 1/5, got {eps}")
+    sketch_eps = kcover_sketch_eps(eps)
     if params is None:
-        params = SketchParams.derive(n=n, k=k, eps=eps / 12.0,
+        params = SketchParams.derive(n=n, k=k, eps=sketch_eps,
                                      delta2=2.0 + math.log(max(n, 1)),
                                      m_hint=m_hint)
     sk = build_sketch_from_stream(edges, params, seed)

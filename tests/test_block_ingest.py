@@ -81,6 +81,7 @@ def _block_sketch(edges, params, seed, block):
     for start in range(0, len(edges), block):
         chunk = edges[start:start + block]
         builder.update_block([u for u, _ in chunk], [v for _, v in chunk])
+        assert builder.retained_edge_count <= params.edge_budget + params.degree_cap
     return builder.finalize()
 
 

@@ -129,19 +129,30 @@ def test_build_sketch_budget_flags_must_pair(tmp_path, capsys):
     assert "together" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("build-sketch", "--eps", "0"),
-    ("build-sketch", "--eps", "1"),
-    ("build-sketch", "--eps", "-1"),
-    ("kcover", "--eps", "12"),      # kcover sketches at eps / 12 = 1
-    ("kcover", "--eps", "-1"),
+@pytest.mark.parametrize("argv, domain", [
+    (("build-sketch", "--eps", "0"), "(0, 0.2]"),
+    (("build-sketch", "--eps", "1"), "(0, 0.2]"),
+    (("build-sketch", "--eps", "-1"), "(0, 0.2]"),
+    # kcover checks the user's eps, whose twelfth the sketch gets
+    (("kcover", "--eps", "12"), "(0, 2.4]"),
+    (("kcover", "--eps", "-1"), "(0, 2.4]"),
 ], ids=["build-0", "build-1", "build-neg", "kcover-12", "kcover-neg"])
-def test_custom_budgets_refuse_eps_outside_the_domain(tmp_path, capsys, argv):
+def test_custom_budgets_refuse_eps_outside_the_domain(tmp_path, capsys, argv, domain):
     out = ("--out", str(tmp_path / "x.bin")) if argv[0] == "build-sketch" else ()
     code, _, err = run(capsys, *argv, "--gen", "random:n=5,m=20,p=0.3",
                        "--k", "2", "--degree-cap", "3", "--edge-budget", "50", *out)
     assert code == 2
-    assert "eps must lie in (0, 0.2]" in err and "Traceback" not in err
+    assert f"eps must lie in {domain}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("--k", "2", "--n", str(2 ** 32)),
+                                  ("--k", str(2 ** 32))], ids=["n", "k"])
+def test_build_sketch_refuses_n_or_k_beyond_the_u32_header(tmp_path, capsys, argv):
+    code, _, err = run(capsys, "build-sketch", "--gen", "random:n=5,m=20,p=0.3",
+                       *argv, "--out", str(tmp_path / "x.bin"))
+    assert code == 2
+    assert "must be <= 2^32 - 1" in err and "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
 
 
 @pytest.mark.parametrize("delta2", ["0.5", "inf", "nan"])

@@ -3,7 +3,10 @@
 import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covsketch import gen_random, greedy_kcover, write_edges_text, write_metadata
 from covsketch.errors import ConfigError, IdRangeError, StateError
@@ -143,6 +146,43 @@ def test_recount_coverage_across_blocks():
     edges = [(v % 4, v % 50_000) for v in range(BLOCK_EDGES * 2 + 10)]
     covered = {v for u, v in edges if u in (1, 2)}
     assert recount_coverage(edges, [1, 2]) == (len(covered), 50_000)
+
+
+class _Blocked:
+    """Edges handed out as blocks of a fixed size."""
+
+    def __init__(self, edges, size):
+        self.edges, self.size = edges, size
+
+    def blocks(self):
+        for start in range(0, len(self.edges), self.size):
+            chunk = np.array(self.edges[start:start + self.size],
+                             dtype=np.int64).reshape(-1, 2)
+            yield chunk[:, 0], chunk[:, 1]
+
+
+@st.composite
+def recount_cases(draw):
+    # set ids straddle the chosen ids' span on both sides, and some are negative
+    edges = draw(st.lists(st.tuples(st.integers(-12, 30),
+                                    st.integers(0, 40) | st.integers(0, 2 ** 32 - 1)),
+                          max_size=150))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=40)) if edges else []
+    streamed = st.sampled_from([u for u, _ in edges] or [0])
+    chosen = draw(st.lists(st.integers(-6, 20) | streamed, max_size=8))
+    return draw(st.permutations(edges)), chosen + chosen[:2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(recount_cases())
+def test_recount_coverage_matches_a_set_reference(case):
+    from covsketch.instance import BLOCK_EDGES
+    edges, chosen = case
+    picks = set(chosen)
+    want = (len({v for u, v in edges if u in picks}), len({v for _, v in edges}))
+    for size in (1, 7, BLOCK_EDGES):
+        assert recount_coverage(_Blocked(edges, size), chosen) == want
+    assert recount_coverage(edges, chosen) == want
 
 
 def test_materialize_system_popcounts():

@@ -459,6 +459,17 @@ def test_load_rejects_threshold_off_the_last_hash():
         load_sketch(io.BytesIO(_craft(2, 3, 0.5, [])))
 
 
+@pytest.mark.parametrize("n, eps, domain", [(2, 0.5, "eps must lie in (0, 0.2]"),
+                                           (0, 0.2, "n must be >= 1")],
+                         ids=["eps", "n"])
+def test_load_rejects_a_header_outside_the_params_domain(n, eps, domain):
+    import struct
+    blob = struct.pack("<4sIIIddQdIQ", b"CVSK", 1, n, 1, eps, 1.0, 3, 1.0, 0, 0)
+    with pytest.raises(ParseError, match=re.escape(domain)) as err:
+        load_sketch(io.BytesIO(blob))
+    assert err.value.offset == 0
+
+
 def test_load_empty_stream():
     with pytest.raises(ParseError):
         load_sketch(io.BytesIO(b""))

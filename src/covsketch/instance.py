@@ -216,7 +216,8 @@ _POW10 = 10 ** np.arange(11, dtype=np.int64)
 
 
 def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
-    """Yield (set ids, element ids) int64 array blocks from an edge stream.
+    """Yield (set ids, element ids) blocks, C-contiguous int64 arrays, from an
+    edge stream.
 
     Text: one 'set_id element_id' pair per line, '#' comment lines and blank
     lines skipped. LF or CRLF ends a line (a lone CR does not), and a str
@@ -229,10 +230,10 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
         for pairs in _text_pairs(stream):
             held = np.concatenate((held, pairs))
             while len(held) >= BLOCK_EDGES:
-                yield held[:BLOCK_EDGES, 0], held[:BLOCK_EDGES, 1]
+                yield _columns(held[:BLOCK_EDGES])
                 held = held[BLOCK_EDGES:]
         if len(held):
-            yield held[:, 0], held[:, 1]
+            yield _columns(held)
     elif format == "binary":
         size = BLOCK_EDGES * _BIN_EDGE.size
         offset = 0
@@ -244,9 +245,8 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
             data = pending + chunk
             usable = len(data) - (len(data) % _BIN_EDGE.size)
             if usable:
-                pairs = np.frombuffer(data, dtype="<u4", count=usable // 4)
-                pairs = pairs.astype(np.int64).reshape(-1, 2)
-                yield pairs[:, 0], pairs[:, 1]
+                yield _columns(np.frombuffer(data, dtype="<u4",
+                                             count=usable // 4).reshape(-1, 2))
             pending = data[usable:]
             offset += usable
         if pending:
@@ -254,6 +254,12 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
                              offset=offset)
     else:
         raise ValueError(f"unknown edge format {format!r}")
+
+
+def _columns(pairs: np.ndarray) -> EdgeBlock:
+    """An (edges, 2) array's columns as C-contiguous int64 arrays, so that
+    each pass over a block's set ids or element ids reads unit-stride memory."""
+    return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
 
 
 def _text_pairs(stream: IO) -> Iterator[np.ndarray]:
@@ -349,7 +355,7 @@ def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
             block = np.array(batch, dtype=np.int64).reshape(-1, 2)
         except OverflowError:
             raise IdRangeError("an id in the edge batch exceeds the 64-bit range") from None
-        yield block[:, 0], block[:, 1]
+        yield _columns(block)
 
 
 class EdgeStream:

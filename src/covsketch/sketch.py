@@ -8,13 +8,16 @@ elements divided by that threshold estimate coverage on the full instance.
 
 Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
-that ingests the edge stream a block at a time (at most BLOCK_EDGES edges)
-and keeps only the hash prefix of elements holding at most
-edge_budget + degree_cap edges, finding that cut before it writes the block
-in. The streaming builder therefore holds edge_budget + degree_cap retained
-edges plus one block in flight, at every point of the pass. Under one
-(seed, params) pair and a cap that never binds, the two finalized sketches
-are byte-identical after serialization.
+that ingests the edge stream a block at a time (at most BLOCK_EDGES edges).
+The streaming builder's state is one ascending u64 key array,
+(element id << 32) | set id, in element-id order: each block's keys are
+merged in, each element keeps its degree_cap smallest set ids, and only the
+hash prefix of elements holding at most edge_budget + degree_cap edges is
+kept. It therefore holds at most edge_budget + degree_cap retained edges
+between blocks, plus one block in flight. The sketch is a pure function of
+(edge multiset, seed, params): whatever the arrival order or the block
+boundaries, it serializes to the same bytes as the offline sketch of the
+same edges.
 
 Under one seed, sketches at smaller caps and budgets are re-capped hash
 prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
@@ -367,9 +370,11 @@ class BuilderStats:
 
     Every arrival counted in seen_edges is dropped on sight (its hash is at
     or above the reject hash), dropped as a duplicate or by the degree cap,
-    or admitted; admitted edges leave again only with a whole evicted
-    element. finalize sets threshold, and budget_bound (the edge budget
-    bound, so the threshold is below 1).
+    or admitted. An admitted edge leaves again either with its whole evicted
+    element (evicted_edges) or displaced by a smaller set id of the same
+    element, which counts in dropped_duplicate_or_cap. finalize sets
+    threshold, and budget_bound (the edge budget bound, so the threshold is
+    below 1).
     """
 
     seen_edges: int = 0
@@ -384,49 +389,50 @@ class BuilderStats:
         return asdict(self)
 
 
+_SHIFT = np.uint64(32)    # a builder key is (element id << _SHIFT) | set id
+_LOW = np.uint64(MAX_ID)
+
+
 class StreamingSketchBuilder:
     """Single-pass builder over (set_id, element_id) arrivals, a block at a time.
 
-    For each block it range-checks the ids, hashes the element ids once,
-    drops every arrival whose hash is at or above the reject hash (the
-    least hash evicted so far; an evicted element is never re-admitted), and
-    keeps the first degree_cap distinct set ids per element in arrival order
-    (an element whose list is full accepts no more, even after evictions
-    make room). It then merges the state's and the block's per-element
-    degrees in hash order and cuts the longest prefix of elements holding at
-    most edge_budget + degree_cap edges. The elements past the cut are
-    evicted whole, and only the survivors are written into the state, so an
-    edge evicted in its own block is never stored. Memory: at most
-    edge_budget + degree_cap retained edges, even within a block, plus the
-    block in flight.
+    The state is one ascending u64 key array, (element id << 32) | set id,
+    holding each retained element's degree_cap smallest set ids seen so far.
+    For each block the builder range-checks the ids and, once an element has
+    been evicted, hashes the element ids and drops every arrival whose hash
+    is at or above the reject hash (the least hash evicted so far; an
+    evicted element is never re-admitted). It keys and sorts the survivors,
+    merges them into the state keys, drops duplicate keys, and keeps each
+    element's first degree_cap keys. When more than edge_budget + degree_cap
+    keys remain, it hashes the retained elements, cuts the longest hash
+    prefix of them holding at most that many keys, and evicts the elements
+    past it whole. Memory: at most edge_budget + degree_cap retained edges
+    between blocks; within a block, those plus the block's survivors.
 
-    The final state does not depend on where block boundaries fall. It
-    equals offline admission in hash order (`build_sketch_offline`) when the
-    cap never binds, or when each element's set ids arrive in ascending
-    order; otherwise an element keeps its first degree_cap arrivals rather
-    than its degree_cap smallest set ids.
+    An element's capped degree only grows as arrivals come in, so the cut
+    only moves down the hash order, and the final state is a pure function
+    of the edge multiset, the seed and the params: it does not depend on the
+    arrival order or on where block boundaries fall, and finalize returns
+    what `build_sketch_offline` builds from the same edges. finalize
+    releases the key array, so retained_edge_count reads 0 after it; the
+    sketch's edge_total is the retained count.
     """
 
-    __slots__ = ("params", "seed", "stats", "_hasher", "_hashes", "_elements",
-                 "_degrees", "_sets", "_reject", "_finalized")
+    __slots__ = ("params", "seed", "stats", "_hasher", "_keys", "_reject",
+                 "_finalized")
 
     def __init__(self, params: SketchParams, seed: int):
         self.params = params
         self.seed = seed
         self.stats = BuilderStats()
         self._hasher = ElementHasher(seed)
-        # Retained elements in ascending hash order, with their capped degree;
-        # their set ids element-major, ascending within each element.
-        self._hashes = np.empty(0, dtype=np.uint64)
-        self._elements = np.empty(0, dtype=np.int64)
-        self._degrees = np.empty(0, dtype=np.int64)
-        self._sets = np.empty(0, dtype=np.int64)
+        self._keys = np.empty(0, dtype=np.uint64)
         self._reject: np.uint64 | None = None
         self._finalized = False
 
     @property
     def retained_edge_count(self) -> int:
-        return int(self._sets.size)
+        return int(self._keys.size)
 
     @property
     def seen_edge_count(self) -> int:
@@ -453,13 +459,12 @@ class StreamingSketchBuilder:
             return
         self._check_ids(u, v)
         self.stats.seen_edges += int(v.size)
-        h = self._hasher.values(v)
         if self._reject is not None:
-            fresh = h < self._reject
+            fresh = self._hasher.values(v) < self._reject
             self.stats.dropped_on_sight += int(v.size - np.count_nonzero(fresh))
-            u, v, h = u[fresh], v[fresh], h[fresh]
-        if h.size:
-            self._admit(u, v, h)
+            u, v = u[fresh], v[fresh]
+        if v.size:
+            self._admit(u, v)
 
     def _check_ids(self, u, v) -> None:
         n = self.params.n
@@ -473,91 +478,65 @@ class StreamingSketchBuilder:
             raise IdRangeError(f"element id {v[i]} is negative")
         raise IdRangeError(f"element id {v[i]} exceeds the 32-bit range")
 
-    def _admit(self, u, v, h) -> None:
-        """Admit the first degree_cap distinct set ids per element, find the
-        budget cut on the merged degrees, and write only what survives it."""
-        n, cap = self.params.n, self.params.degree_cap
-        order = np.argsort(h, kind="stable")    # by element, arrival order within
-        u, h = u[order], h[order]
-        first = np.empty(h.size, dtype=bool)
-        first[0] = True
-        np.not_equal(h[1:], h[:-1], out=first[1:])
-        group = np.cumsum(first) - 1            # element index within the block
-        group_hash = h[first]
-        slot = np.searchsorted(self._hashes, group_hash)
-        known = slot < self._hashes.size
-        known[known] = self._hashes[slot[known]] == group_hash[known]
+    def _admit(self, u, v) -> None:
+        """Merge the arrivals' keys into the state, keep each element's
+        degree_cap smallest set ids, and cut the state to the budget."""
+        cap = self.params.degree_cap
+        limit = self.params.edge_budget + cap
+        key = v.view(np.uint64) << _SHIFT | u.view(np.uint64)
+        if (key[1:] < key[:-1]).any():
+            key.sort()
+        keys = np.concatenate((self._keys, key))
+        keys.sort(kind="stable")        # a merge of the two ascending runs
+        arrived = keys.size
+        dup = keys[1:] == keys[:-1]
+        if dup.any():
+            keys = keys[np.concatenate(([True], ~dup))]
+        # keys[i + cap] ranks cap or more within its element iff keys[i]
+        # belongs to the same element, that is, their high words agree
+        over = (keys[cap:] ^ keys[:-cap]) <= _LOW
+        if over.any():
+            keys = keys[np.concatenate((np.ones(cap, dtype=bool), ~over))]
+        self.stats.dropped_duplicate_or_cap += arrived - keys.size
+        if keys.size > limit:
+            ids, hashes, degrees = self._elements_of(keys)
+            by_hash = np.argsort(hashes)
+            ends = np.cumsum(degrees[by_hash])
+            cut = np.searchsorted(ends, limit, side="right")
+            self._reject = hashes[by_hash[cut]]
+            stay = hashes < self._reject
+            self.stats.evicted_elements += int(ids.size - np.count_nonzero(stay))
+            self.stats.evicted_edges += int(keys.size - ends[cut - 1])
+            keys = keys[np.repeat(stay, degrees)]
+        self._keys = keys
 
-        # First arrival of each (element, set id) pair, not already retained.
-        key = group * n + u
-        keep = np.zeros(h.size, dtype=bool)
-        keep[np.unique(key, return_index=True)[1]] = True
-        starts = np.concatenate(([0], np.cumsum(self._degrees)))
-        state_key = None
-        if known.any():
-            owner = np.repeat(np.arange(self._degrees.size), self._degrees)
-            state_key = owner * n + self._sets
-            old = np.flatnonzero(known[group] & keep)
-            probe = slot[group[old]] * n + u[old]
-            at = np.minimum(np.searchsorted(state_key, probe), state_key.size - 1)
-            keep[old[state_key[at] == probe]] = False
-
-        # Of those, the ones within each element's remaining cap allowance.
-        kept = np.flatnonzero(keep)
-        g = group[kept]
-        run = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
-        rank = np.arange(g.size) - np.repeat(run, np.diff(np.append(run, g.size)))
-        have = np.zeros(group_hash.size, dtype=np.int64)
-        have[known] = self._degrees[slot[known]]
-        kept = kept[rank < cap - have[g]]
-        self.stats.dropped_duplicate_or_cap += int(h.size - kept.size)
-
-        # The cut: the longest hash prefix of state and block elements merged
-        # that holds at most edge_budget + degree_cap edges. Block elements
-        # before it are a prefix of the groups, state ones a prefix of the state.
-        added = np.bincount(group[kept], minlength=group_hash.size)
-        new = ~known
-        merged_at = slot + np.cumsum(new) - new     # block elements' merged places
-        degrees = np.insert(self._degrees, slot[new], added[new])
-        degrees[merged_at[known]] += added[known]
-        ends = np.cumsum(degrees)
-        survive = int(np.searchsorted(ends, self.params.edge_budget + cap,
-                                      side="right"))
-        groups = int(np.searchsorted(merged_at, survive))
-        fresh = np.flatnonzero(new[:groups])    # new elements before the cut
-        from_state = survive - fresh.size
-        if survive < degrees.size:
-            # the first evicted element is the block's next one or the state's
-            ours = groups < group_hash.size and merged_at[groups] == survive
-            self._reject = group_hash[groups] if ours else self._hashes[from_state]
-            self.stats.evicted_elements += int(degrees.size - survive)
-            self.stats.evicted_edges += int(degrees[survive:].sum())
-            degrees = degrees[:survive].copy()
-
-        # Write the survivors: each admitted set id at its (hash, set id) place.
-        kept = kept[group[kept] < groups]
-        kept = kept[np.argsort(key[kept], kind="stable")]
-        g, x = group[kept], u[kept]
-        where = starts[slot[g]]
-        mine = known[g]
-        if state_key is not None and mine.any():
-            where[mine] = np.searchsorted(state_key, slot[g[mine]] * n + x[mine])
-        self._hashes = np.insert(self._hashes[:from_state], slot[fresh],
-                                 group_hash[fresh])
-        self._elements = np.insert(self._elements[:from_state], slot[fresh],
-                                   v[order[first]][fresh])
-        self._degrees = degrees
-        self._sets = np.insert(self._sets[:starts[from_state]], where, x)
+    def _elements_of(self, keys):
+        """The element ids of an ascending key array, with their hashes and
+        their numbers of keys."""
+        elements = keys >> _SHIFT
+        first = np.ones(elements.size, dtype=bool)
+        np.not_equal(elements[1:], elements[:-1], out=first[1:])
+        start = np.flatnonzero(first)
+        ids = elements[start].view(np.int64)
+        return ids, self._hasher.values(ids), np.diff(np.append(start, elements.size))
 
     def finalize(self) -> Sketch:
-        """Trim to the minimal hash-prefix meeting edge_budget and freeze.
-
-        The sketch takes the state arrays as they are, or prefixes of them."""
+        """Order the elements by hash, trim to the minimal prefix meeting
+        edge_budget, and freeze; the key array is released."""
         if self._finalized:
             raise StateError("finalize() called twice")
         self._finalized = True
-        sk = _trimmed(self.params, self.seed, self._elements, self._hashes,
-                      self._degrees, self._sets)
+        keys, self._keys = self._keys, np.empty(0, dtype=np.uint64)
+        ids, hashes, degrees = self._elements_of(keys)
+        order = np.argsort(hashes)
+        ends = np.cumsum(degrees)
+        sorted_degrees = degrees[order]
+        # the element runs of the key array, taken in hash order
+        moved = (ends - degrees)[order] - (np.cumsum(sorted_degrees) - sorted_degrees)
+        at = np.arange(keys.size) + np.repeat(moved, sorted_degrees)
+        sets = (keys[at] & _LOW).view(np.int64)
+        sk = _trimmed(self.params, self.seed, ids[order], hashes[order],
+                      sorted_degrees, sets)
         self.stats.threshold = sk.threshold
         self.stats.budget_bound = sk.threshold < 1.0
         sk.stats = self.stats

@@ -1,13 +1,14 @@
-"""Block ingestion against the per-edge admission rule it replaced.
+"""Block ingestion against a per-edge reference of the admission rule.
 
-`scalar_sketch` is the former one-edge-at-a-time streaming builder, kept
-here as the reference: a dict of incident sets per element, a max-heap of
-(hash, id) keys, eviction the moment the retained count passes
-edge_budget + degree_cap, and a reject key below which nothing evicted comes
-back. It writes its sketch in the version-1 file format itself, one
-`struct` record at a time, so the format is pinned by a writer that shares
-nothing with `save_sketch`. The block builder must serialize to the same
-bytes whatever the block size.
+`scalar_sketch` is a one-edge-at-a-time streaming builder, kept here as
+the reference: a set of incident set ids per element, of which an element
+keeps its degree_cap smallest (a smaller arrival displaces a full element's
+largest id), a max-heap of (hash, id) keys, eviction the moment the
+retained count passes edge_budget + degree_cap, and a reject key below
+which nothing evicted comes back. It writes its sketch in the version-1
+file format itself, one `struct` record at a time, so the format is pinned
+by a writer that shares nothing with `save_sketch`. The block builder must
+serialize to the same bytes whatever the block size.
 """
 
 import heapq
@@ -36,13 +37,18 @@ def scalar_sketch(edges, params, seed):
             h = hasher.value(v)
             if reject is not None and (h, v) >= reject:
                 continue
-            incident[v] = {u: None}
+            incident[v] = {u}
             hashes[v] = h
             heapq.heappush(heap, (-h, -v))
-        elif u in sets or len(sets) >= params.degree_cap:
+        elif u in sets:
+            continue
+        elif len(sets) >= params.degree_cap:
+            if u < max(sets):
+                sets.remove(max(sets))
+                sets.add(u)
             continue
         else:
-            sets[u] = None
+            sets.add(u)
         total += 1
         while total > limit:
             neg_h, neg_v = heapq.heappop(heap)

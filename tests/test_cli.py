@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 
@@ -210,6 +211,29 @@ def test_build_sketch_text_and_binary_files_give_identical_bytes(tmp_path, capsy
                            "--out", str(out))
         assert payload["sketch_stats"]["builder"]["budget_bound"] is True
         assert payload["sketch_stats"]["input_edges"] == len(edges)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_build_sketch_bytes_do_not_depend_on_arrival_order(tmp_path, capsys):
+    # the cap and the budget both bind, and the stream spans two blocks
+    from covsketch import write_edges_binary
+    from covsketch.instance import BLOCK_EDGES
+    edges = list(random_edge_stream(40, 3000, 0.6, 5))
+    assert len(edges) > BLOCK_EDGES
+    outs = []
+    for name, order in (("ascending", edges),
+                        ("shuffled", random.Random(1).sample(edges, len(edges)))):
+        path, out = tmp_path / f"{name}.bin", tmp_path / f"{name}.sk"
+        with open(path, "wb") as fp:
+            write_edges_binary(fp, order)
+        payload = run_json(capsys, "build-sketch", "--input", str(path),
+                           "--format", "binary", "--n", "40", "--k", "3",
+                           "--seed", "4", "--degree-cap", "5",
+                           "--edge-budget", "2000", "--out", str(out))
+        builder = payload["sketch_stats"]["builder"]
+        assert builder["budget_bound"] is True
+        assert builder["dropped_duplicate_or_cap"] > 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 

@@ -317,6 +317,19 @@ def test_edge_blocks_batch_tuples_and_reject_huge_ids():
         list(edge_blocks([(0, 2**70)]))
 
 
+def test_every_block_source_yields_contiguous_int64_columns():
+    edges = [(e % 7, e) for e in range(BLOCK_EDGES + 3)]
+    text = "".join(f"{u} {v}\n" for u, v in edges).encode()
+    for blocks in (load_edge_blocks(io.BytesIO(_binary(edges)), "binary"),
+                   load_edge_blocks(io.BytesIO(text), "text"),
+                   edge_blocks(edges)):
+        blocks = list(blocks)
+        assert [u.size for u, _ in blocks] == [BLOCK_EDGES, 3]
+        for column in itertools.chain.from_iterable(blocks):
+            assert column.dtype == np.int64 and column.flags.c_contiguous
+        assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+
+
 # ---------------------------------------------------------------------------
 # Metadata sidecar
 

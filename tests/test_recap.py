@@ -8,6 +8,7 @@ B * ceil(c_max / c), always retains every prefix.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -47,12 +48,12 @@ def _bases(inst, levels, seed, budget):
     top = max(p.degree_cap for p in levels)
     base_params = _params(inst.n, top, budget)
     offline = build_sketch_offline(inst, base_params, seed)
-    # element-major arrivals, ascending set ids: the streaming builder's
-    # first-arrivals cap keeps the smallest ids, as the offline one does
-    streamed = build_sketch_from_stream(inst.edges_by_element(), base_params,
-                                        seed)
-    assert streamed == offline
-    return offline, streamed
+    edges = list(inst.edges_by_element())
+    streamed = build_sketch_from_stream(edges, base_params, seed)
+    shuffled = build_sketch_from_stream(random.Random(seed).sample(edges, len(edges)),
+                                        base_params, seed)
+    assert streamed == shuffled == offline
+    return offline, shuffled
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,8 +11,11 @@ materializing n/k exclusive elements per gold item; n need not divide by k.
 
 Items are integers (Python ints or numpy integer scalars) in [0, n_items);
 any other item, such as a float, raises ConfigError. Each public oracle
-validates its query once and answers through private helpers that take the
-validated frozenset.
+validates its query once, reduces it to its size and its number of gold
+hits, and answers through one integer core that takes those two counts
+(`_deviation`, `_scaled_true`, `_scaled_noisy`); nothing else about a query
+enters the bounds. The validity sweep feeds the same core from index arrays
+counted against a boolean gold mask, so it builds no Python set per query.
 """
 
 from __future__ import annotations
@@ -91,6 +94,26 @@ class PlantedGoldInstance:
                 raise IdRangeError(f"item {bad} outside [0, {self.n_items})")
         return s
 
+    def _nonempty(self, items: Iterable[int]) -> frozenset:
+        s = self._clean(items)
+        if not s:
+            raise ConfigError("coverage is defined for nonempty queries only")
+        return s
+
+    def _tally(self, s: frozenset) -> tuple[int, int]:
+        """(size, gold hits) of a validated query (a frozenset from _clean)."""
+        return len(s), len(s & self._gold)
+
+    def _gold_mask(self) -> np.ndarray:
+        """n_items bools, True at the gold items; a size that cannot be
+        allocated raises ConfigError."""
+        try:
+            mask = np.zeros(self.n_items, dtype=bool)
+        except MemoryError:
+            raise _too_large(self.n_items) from None
+        mask[list(self._gold)] = True
+        return mask
+
     # -- audit accessors (privileged; the CLI gates these behind --unsafe-audit)
 
     def audit_gold(self) -> frozenset:
@@ -104,7 +127,8 @@ class PlantedGoldInstance:
     def true_coverage(self, items: Iterable[int]) -> Fraction:
         """Exact coverage value k + (n/k) * Gold(S) of a nonempty query of
         integer items."""
-        return Fraction(self._scaled_true(self._nonempty(items)), self.k_gold)
+        return Fraction(self._scaled_true(*self._tally(self._nonempty(items))),
+                        self.k_gold)
 
     # -- public query interface
 
@@ -114,39 +138,34 @@ class PlantedGoldInstance:
         Items are integers. The band is k|S|/n +- eps*(k|S|/n + k^2/n),
         tested exactly in integers; answers reveal a single bit.
         """
-        return self._deviation(self._clean(items))
+        return self._deviation(*self._tally(self._clean(items)))
 
     def noisy_coverage_oracle(self, items: Iterable[int]) -> Fraction:
         """k + |S| while the deviation bit is quiet, the true value otherwise.
 
         Items are integers; the query must be nonempty.
         """
-        return Fraction(self._scaled_noisy(self._nonempty(items)), self.k_gold)
+        return Fraction(self._scaled_noisy(*self._tally(self._nonempty(items))),
+                        self.k_gold)
 
-    # -- the oracles on a validated query (a frozenset from _clean)
+    # -- the oracles on a query's (size, gold hits)
 
-    def _nonempty(self, items: Iterable[int]) -> frozenset:
-        s = self._clean(items)
-        if not s:
-            raise ConfigError("coverage is defined for nonempty queries only")
-        return s
-
-    def _deviation(self, s: frozenset) -> int:
+    def _deviation(self, size: int, hits: int) -> int:
         # |g - k|S|/n| <= eps*(k|S|/n + k^2/n), times n*q for eps = p/q
         p, q = self._eps_pq
-        k_size = self.k_gold * len(s)
-        off = len(s & self._gold) * self.n_items - k_size
+        k_size = self.k_gold * size
+        off = hits * self.n_items - k_size
         return 0 if abs(off) * q <= p * (k_size + self.k_gold * self.k_gold) else 1
 
     # k times the coverage values: integers, so no Fraction is built
 
-    def _scaled_true(self, s: frozenset) -> int:
-        return self.k_gold * self.k_gold + self.n_items * len(s & self._gold)
+    def _scaled_true(self, size: int, hits: int) -> int:
+        return self.k_gold * self.k_gold + self.n_items * hits
 
-    def _scaled_noisy(self, s: frozenset) -> int:
-        if self._deviation(s) == 0:
-            return self.k_gold * (self.k_gold + len(s))
-        return self._scaled_true(s)
+    def _scaled_noisy(self, size: int, hits: int) -> int:
+        if self._deviation(size, hits) == 0:
+            return self.k_gold * (self.k_gold + size)
+        return self._scaled_true(size, hits)
 
     def __repr__(self):
         return (f"PlantedGoldInstance(n_items={self.n_items}, "
@@ -182,34 +201,56 @@ class ValidityReport:
         return not self.violations
 
 
-def _sample_query(rng, n):
-    """A uniform-size random query: distinct items in [0, n), never empty."""
+def _too_large(n: int) -> ConfigError:
+    return ConfigError(f"n_items={n} is too large to draw queries over")
+
+
+def _draw(rng, n: int) -> np.ndarray:
+    """A uniform-size random query as an index array: distinct items in
+    [0, n), never empty. A size that cannot be allocated raises ConfigError."""
     size = int(rng.integers(1, n + 1))
-    return rng.choice(n, size=size, replace=False).tolist()
+    try:
+        return rng.choice(n, size=size, replace=False)
+    except MemoryError:
+        raise _too_large(n) from None
+
+
+def _sample_query(rng, n):
+    """The query _draw draws, as a list of Python ints."""
+    return _draw(rng, n).tolist()
 
 
 def verify_oracle_validity(inst: PlantedGoldInstance, trials: int,
                            seed: int = 0) -> ValidityReport:
     """Check (1-eps')*noisy <= true <= (1+eps')*noisy on random queries.
 
-    Comparisons are exact: with eps' = p/q, both values are scaled by k and
-    the bounds by q, so every side is an integer. The construction
-    guarantees zero violations, so any entry in the report is an
-    implementation bug.
+    Each trial draws a query as `_sample_query` does (the same two generator
+    calls, so the same queries) but keeps it as an index array: its gold
+    hits are counted against a boolean gold mask, built once per call, and
+    the oracle core scores the query's (size, hits). Comparisons are exact:
+    with eps' = p/q, both values are scaled by k and the bounds by q, and
+    every side is a Python int (q is 2^54 for eps' = 0.2, so int64 products
+    would overflow). The first ten violations are reported as (size, noisy,
+    true) floats. The construction guarantees zero violations, so any entry
+    in the report is an implementation bug. An n_items too large to allocate
+    a draw or the mask raises ConfigError.
     """
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     p, q = Fraction(inst.eps_prime).as_integer_ratio()
-    k = inst.k_gold
+    k, n = inst.k_gold, inst.n_items
+    # zero trials draw nothing, so they need no mask of n_items bools either
+    gold = inst._gold_mask() if trials else None
     violations = []
     for _ in range(trials):
-        query = frozenset(_sample_query(rng, inst.n_items))  # valid as drawn
-        noisy = inst._scaled_noisy(query)
-        true = inst._scaled_true(query)
+        query = _draw(rng, n)  # distinct and in range as drawn
+        size, hits = len(query), int(np.count_nonzero(gold[query]))
+        noisy = inst._scaled_noisy(size, hits)
+        true = inst._scaled_true(size, hits)
         if not ((q - p) * noisy <= q * true <= (q + p) * noisy):
             if len(violations) < 10:
-                violations.append((len(query), float(Fraction(noisy, k)),
+                violations.append((size, float(Fraction(noisy, k)),
                                    float(Fraction(true, k))))
     return ValidityReport(trials=trials, eps_prime=inst.eps_prime,
                           violations=tuple(violations))
@@ -250,7 +291,8 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
         # scores a query this demo drew, so it is not validated again
         nonlocal best_ratio, best_size
         # true/opt as one correctly rounded integer division
-        ratio = inst._scaled_true(query) / (inst.k_gold * inst.opt_value)
+        ratio = inst._scaled_true(*inst._tally(query)) / (
+            inst.k_gold * inst.opt_value)
         if ratio > best_ratio:
             best_ratio = ratio
             best_size = len(query)

@@ -6,7 +6,10 @@ perfbench/layers.py patches `covsketch.harness.load_edges` in traced
 (--trace 1) runs and wraps, among others, `cli.materialize_system(edges, n)`,
 `CoverageInstance.from_edges(n, m, edges, *, attach_isolated_seed)`,
 `solvers.as_set_system(target)`, `cli.build_per_set_sketches(edges, n,
-capacity, seed, reps=...)` and `cli.greedy_kcover(target, k)`. Its
+capacity, seed, reps=...)`, `cli.greedy_kcover(target, k)`,
+`cli.verify_oracle_validity(inst, trials, seed)`, of whose report it reads
+`trials`, and `cli.query_counter_demo(inst, strategy, budget, seed)`, of
+whose report it reads `queries_used`. Its
 disjointness sweep calls `instance.gen_disjointness` and
 `solvers.brute_force_kcover` through their modules. Of each sketch it
 builds, `layers.note_finalize` reads `edge_total`, `element_count`,
@@ -21,9 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from covsketch import (CoverageInstance, SketchParams, StreamingSketchBuilder,
-                       cli, harness, random_edge_stream, solvers,
-                       write_edges_binary)
+from covsketch import (CoverageInstance, PlantedGoldInstance, SketchParams,
+                       StreamingSketchBuilder, cli, harness, random_edge_stream,
+                       solvers, write_edges_binary)
 from covsketch.harness import GenEdgeSource, parse_gen_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,9 +64,16 @@ def test_wrapped_names_keep_their_signatures(monkeypatch):
         assert [sk.estimate() for sk in bank] == [1.0, 0.0, 1.0, 0.0, 1.0]
         sol = cli.greedy_kcover(system, 2)
         assert (sol.chosen, sol.gains, sol.covered_on_target) == ((0, 2), (1, 1), 2)
+        gadget = PlantedGoldInstance(30, 3, 0.2, 5)
+        assert cli.verify_oracle_validity(gadget, 7, 2).trials == 7
+        demo = cli.query_counter_demo(gadget, "greedy_via_noisy", 4, 3)
+        assert demo.queries_used == 4
     assert {"harness.materialize_system", "instance.from_edges",
             "solvers.as_set_system", "distinct.build_per_set_sketches",
-            "solvers.exact_greedy_kcover"} <= {s.name for s in tracer.spans}
+            "solvers.exact_greedy_kcover", "hardness.verify_oracle_validity",
+            "hardness.query_counter_demo"} <= {s.name for s in tracer.spans}
+    counts = tracer.op_counts(0)
+    assert (counts["hardness.validity_trials"], counts["hardness.queries"]) == (7, 4)
 
 
 def test_generator_source_stream_iterates_as_tuples():

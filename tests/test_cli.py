@@ -590,6 +590,23 @@ def test_hardness_demo_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [("--trials", "1"),
+                                  ("--trials", "0", "--budget", "1")],
+                         ids=["validity", "random-subsets"])
+def test_hardness_demo_refuses_an_unallocatable_n_items(capsys, args):
+    # 2^50 items: a draw asks for 8 PiB and the gold mask for 1 PiB, both
+    # past the 128 TiB a 64-bit Linux process can map by default, so the
+    # allocation fails without touching memory
+    n = str(2 ** 50)
+    code, _, err = run(capsys, "hardness-demo", "--n-items", n, "--k-gold",
+                       "1", "--eps", "0.5", *args)
+    assert code == 2
+    assert f"n_items={n}" in err and "Traceback" not in err
+    # with no query to draw the gadget still runs
+    assert run(capsys, "hardness-demo", "--n-items", n, "--k-gold", "1",
+               "--trials", "0", "--budget", "0")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 

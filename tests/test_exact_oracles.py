@@ -378,11 +378,34 @@ def test_validity_reports_a_wrong_noisy_value(monkeypatch):
     inst = PlantedGoldInstance(40, 8, 0.2, seed=3)
     # a noisy oracle answering 0 violates the upper bound on every query;
     # the first ten are reported as (size, noisy, true) floats
-    monkeypatch.setattr(PlantedGoldInstance, "_scaled_noisy", lambda self, s: 0)
+    monkeypatch.setattr(PlantedGoldInstance, "_scaled_noisy",
+                        lambda self, size, hits: 0)
     report = verify_oracle_validity(inst, 25, seed=9)
     assert len(report.violations) == 10 and not report.ok
     assert list(report.violations) == old_validity(
         inst, 25, 9, noisy_of=lambda inst, q: Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), data=st.data(),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       seed=st.integers(0, 2 ** 32), trials=st.integers(0, 100))
+def test_validity_sweep_matches_the_fraction_reference(n, data, eps, seed, trials):
+    # eps >= 0.5 makes eps' >= 1, so the lower bound is never binding
+    k = data.draw(st.integers(1, n))
+    inst = PlantedGoldInstance(n, k, eps, seed)
+    report = verify_oracle_validity(inst, trials, seed=seed)
+    assert report.trials == trials
+    assert list(report.violations) == old_validity(inst, trials, seed) == []
+    # a wrong noisy core violates every trial: the ten reported sizes are
+    # those of the reference's first ten draws
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PlantedGoldInstance, "_scaled_noisy",
+                   lambda self, size, hits: 0)
+        report = verify_oracle_validity(inst, trials, seed=seed)
+    assert len(report.violations) == min(trials, 10)
+    assert list(report.violations) == old_validity(
+        inst, trials, seed, noisy_of=lambda inst, q: Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,22 @@ Each sketch keeps the `capacity` smallest keyed hashes per repetition
 is scored by the bottom-t of the union of its k per-set sketches, a chunk of
 candidates at a time. Space grows with n*k-ish enumeration needs, which is
 the contrast point against the edge-budget sketch.
+
+Sketches are filled only by `build_per_set_sketches`, a block of edges at
+a time, and live in memory only: nothing here writes or reads them.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-import struct
-from bisect import bisect_left, insort
 from itertools import chain, combinations, islice
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import (ConfigError, GuardExceededError, IdRangeError,
-                     IncompatibleSketchError, ParseError)
+                     IncompatibleSketchError)
 from .hashing import ElementHasher, derive_seed, unit_from_u64
 from .instance import Edge, edge_blocks
 from .solvers import Solution
@@ -28,10 +29,6 @@ L0_ENUM_GUARD = 1_000_000
 L0_CHUNK_HASHES = 1 << 14
 
 _PAD = (1 << 64) - 1
-
-_DS_HEAD = struct.Struct("<IIQ")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 
 class DistinctSketch:
@@ -67,28 +64,6 @@ class DistinctSketch:
         capacity = math.ceil(4.0 / (eps * eps))
         reps = max(1, math.ceil(math.log(1.0 / delta)))
         return cls(capacity=capacity, seed=seed, reps=reps)
-
-    def insert(self, element: int) -> None:
-        """Keep element's hash iff among the t smallest; duplicate-safe."""
-        if element < 0:
-            raise IdRangeError(f"element id {element} is negative")
-        cap = self.capacity
-        for rep, hasher in enumerate(self._hashers):
-            h = hasher.value(element)
-            mins = self.mins[rep]
-            if len(mins) >= cap:
-                if h >= mins[-1]:
-                    continue
-                pos = bisect_left(mins, h)
-                if pos < len(mins) and mins[pos] == h:
-                    continue
-                insort(mins, h)
-                mins.pop()
-            else:
-                pos = bisect_left(mins, h)
-                if pos < len(mins) and mins[pos] == h:
-                    continue
-                insort(mins, h)
 
     def estimate(self) -> float:
         """Median across repetitions of the per-repetition KMV estimate."""
@@ -262,47 +237,3 @@ def _union_estimates(table: np.ndarray, lens: np.ndarray, tops: np.ndarray,
     if reps % 2:
         return per_rep[mid]
     return (per_rep[mid - 1] + per_rep[mid]) / 2
-
-
-# ---------------------------------------------------------------------------
-# Serialization: {capacity, reps, seed} then per rep {count, hashes...}
-
-
-def save_distinct(sk: DistinctSketch, stream: IO) -> int:
-    head = _DS_HEAD.pack(sk.capacity, sk.reps, sk.seed)
-    stream.write(head)
-    written = len(head)
-    for mins in sk.mins:
-        stream.write(_U32.pack(len(mins)))
-        written += 4
-        for h in mins:
-            stream.write(_U64.pack(h))
-            written += 8
-    return written
-
-
-def load_distinct(stream: IO) -> DistinctSketch:
-    head = stream.read(_DS_HEAD.size)
-    if len(head) != _DS_HEAD.size:
-        raise ParseError("truncated distinct-sketch header", offset=0)
-    capacity, reps, seed = _DS_HEAD.unpack(head)
-    sk = DistinctSketch(capacity, seed, reps)
-    offset = _DS_HEAD.size
-    for rep in range(reps):
-        raw = stream.read(4)
-        if len(raw) != 4:
-            raise ParseError("truncated repetition count", offset=offset)
-        offset += 4
-        (count,) = _U32.unpack(raw)
-        if count > capacity:
-            raise ParseError(f"{count} hashes in a repetition of capacity "
-                             f"{capacity}", offset=offset - 4)
-        data = stream.read(8 * count)
-        if len(data) != 8 * count:
-            raise ParseError("truncated hash list", offset=offset)
-        offset += 8 * count
-        mins = [h[0] for h in _U64.iter_unpack(data)]
-        if any(mins[i] >= mins[i + 1] for i in range(len(mins) - 1)):
-            raise ParseError("hash list not strictly increasing", offset=offset)
-        sk.mins[rep] = mins
-    return sk

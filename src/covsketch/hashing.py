@@ -32,7 +32,7 @@ def derive_seed(master: int, counter: int) -> int:
 
 
 class ElementHasher:
-    """Keyed map from element id to a u64, or equivalently a real in [0, 1].
+    """Keyed map from element id to a u64 (`unit_from_u64` maps it into [0, 1]).
 
     For a fixed seed the map is a bijection on the 64-bit range (composition
     of bijections), so distinct elements never collide in the u64 value;
@@ -61,15 +61,9 @@ class ElementHasher:
         x ^= x >> np.uint64(31)
         return x
 
-    def unit(self, element: int) -> float:
-        """Hash scaled by 2^-64, rounded to nearest double.
-
-        Values within half an ulp of 2^64 round to exactly 1.0, so the range
-        is [0, 1] rather than [0, 1); ordering logic never uses this float,
-        only the exact integer key.
-        """
-        return self.value(element) * _INV_2_64
-
 
 def unit_from_u64(value: int) -> float:
+    """Hash scaled by 2^-64, rounded to nearest double; elementwise on a
+    float64 array of hashes too. Values within half an ulp of 2^64 round to
+    exactly 1.0, so the range is [0, 1]; ordering uses only the integer key."""
     return value * _INV_2_64

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import operator
 import struct
 from typing import IO, Iterable, Iterator
@@ -34,6 +35,7 @@ EdgeBlock = tuple[np.ndarray, np.ndarray]
 
 MAX_ID = 2**32 - 1
 BLOCK_EDGES = 65_536
+_INT64_MAX = 2**63 - 1
 
 _BIN_EDGE = struct.Struct("<II")
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -342,19 +344,38 @@ def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
     return iter(EdgeStream(load_edge_blocks(stream, format)))
 
 
+def id_array(values) -> np.ndarray:
+    """Ids as an integer array: numpy's own, or int64 when numpy reads
+    integers as floats or objects (a mix of numpy and Python ints, or an
+    int past int64). A non-integer id raises IdRangeError, never truncated,
+    and so does an int past 64 bits. Callers range-check the values.
+    """
+    ids = np.asarray(values)
+    if ids.dtype.kind in "iu":
+        return ids
+    items = np.asarray(values, dtype=object)
+    for x in items.flat:
+        if not isinstance(x, numbers.Integral):
+            raise IdRangeError(f"id {x!r} is not an integer")
+    try:
+        return items.astype(np.int64)
+    except OverflowError:
+        raise IdRangeError("an id exceeds the 64-bit range") from None
+
+
 def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
     """The edges as blocks: the source's own `blocks()` when it has one,
-    otherwise its (set_id, element_id) tuples batched BLOCK_EDGES at a time."""
+    otherwise its (set_id, element_id) tuples batched BLOCK_EDGES at a time,
+    checked by `id_array`, and refused past the int64 range."""
     blocks = getattr(edges, "blocks", None)
     if blocks is not None:
         yield from blocks()
         return
     it = iter(edges)
     while batch := list(itertools.islice(it, BLOCK_EDGES)):
-        try:
-            block = np.array(batch, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:
-            raise IdRangeError("an id in the edge batch exceeds the 64-bit range") from None
+        block = id_array(batch).reshape(-1, 2)
+        if block.dtype == np.uint64 and block.max() > _INT64_MAX:
+            raise IdRangeError(f"id {block.max()} exceeds the 64-bit range")
         yield _columns(block)
 
 

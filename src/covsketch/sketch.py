@@ -24,10 +24,12 @@ prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
 one pass serves every level of the outlier ladder.
 
 A `Sketch` is the builder's arrays, from finalize to file: element ids,
-hashes and degrees in stored order, and the set ids element-major. It is
-also a small coverage instance: `Sketch.system` (likewise
-`SubgraphView.system`) is a `SetSystem` with one position per retained
-element in stored order, so any solver runs on it unchanged.
+hashes and degrees in stored order, and the set ids element-major.
+`sample_subgraph` returns the paper's hash-threshold subgraph, every
+element whose unit hash is at most p with all its set ids, as a
+`SubgraphView` on the same id, degree and set-id arrays. Each is also a
+small coverage instance: its `system` is a `SetSystem` with one position
+per retained element in stored order, so any solver runs on it unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 
 from .errors import ConfigError, IdRangeError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
-from .instance import MAX_ID, CoverageInstance, Edge, SetSystem, edge_blocks
+from .instance import (MAX_ID, CoverageInstance, Edge, SetSystem, edge_blocks,
+                       id_array)
 
 _MAGIC = b"CVSK"
 _VERSION = 1
@@ -145,30 +148,38 @@ def _system_of(n: int, degrees: np.ndarray, sets: np.ndarray) -> SetSystem:
                                     sets)
 
 
-@dataclass(frozen=True)
-class SubgraphView:
-    """Hash-filtered (optionally degree-capped) view of an instance.
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only view of `values` as `dtype` (a copy only to convert)."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
-    Elements whose unit hash is <= p survive; incident lists are sorted.
+
+@dataclass(frozen=True, eq=False)
+class SubgraphView:
+    """The hash-threshold subgraph of an instance: the elements whose unit
+    hash is <= p, each with all its set ids.
+
+    Read-only arrays hold it, as they hold a `Sketch`: `ids`, the kept
+    element ids ascending, their `degrees`, and `sets`, each kept element's
+    set ids in turn, ascending. `system` is built from them on first read.
     """
 
     n: int
     p: float
     seed: int
-    elements: tuple[int, ...]
-    incident: dict[int, tuple[int, ...]]
+    ids: np.ndarray
+    degrees: np.ndarray
+    sets: np.ndarray
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.incident.values())
-
-    def degree(self, element: int) -> int:
-        return len(self.incident[element])
+        return self.sets.size
 
     @cached_property
     def system(self) -> SetSystem:
-        """The kept elements as a SetSystem, positions in `elements` order."""
-        return _system_of(self.n, *_flatten(self.incident[e] for e in self.elements))
+        """The kept elements as a SetSystem, positions in `ids` order."""
+        return _system_of(self.n, self.degrees, self.sets)
 
     def covered_count(self, chosen: Iterable[int]) -> int:
         """Number of kept elements hit by the chosen sets."""
@@ -182,29 +193,12 @@ def sample_subgraph(inst: CoverageInstance, p: float, seed: int) -> SubgraphView
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must lie in [0, 1], got {p}")
-    kept = []
-    if p > 0.0:
-        hashes = ElementHasher(seed).values(np.arange(inst.m)).tolist()
-        kept = [e for e, h in enumerate(hashes) if unit_from_u64(h) <= p]
-    incident = {e: inst.elements[e] for e in kept}
-    return SubgraphView(n=inst.n, p=p, seed=seed,
-                        elements=tuple(kept), incident=incident)
-
-
-def cap_element_degrees(view: SubgraphView, cap: int) -> SubgraphView:
-    """Truncate each element's incident list to its `cap` smallest set ids."""
-    if cap < 1:
-        raise ConfigError(f"cap must be >= 1, got {cap}")
-    incident = {e: sets[:cap] for e, sets in view.incident.items()}
-    return SubgraphView(n=view.n, p=view.p, seed=view.seed,
-                        elements=view.elements, incident=incident)
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only view of `values` as `dtype` (a copy only to convert)."""
-    view = np.asarray(values, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
+    ids = np.arange(inst.m)
+    hashes = ElementHasher(seed).values(ids)
+    ids = ids[unit_from_u64(hashes.astype(np.float64)) <= p]
+    degrees, sets = _flatten(inst.elements[e] for e in ids.tolist())
+    return SubgraphView(inst.n, p, seed, _frozen(ids, np.int64),
+                        _frozen(degrees, np.int64), _frozen(sets, np.int64))
 
 
 class Sketch:
@@ -245,9 +239,6 @@ class Sketch:
     def full_retention(self) -> bool:
         return self.threshold >= 1.0
 
-    def element_ids(self) -> tuple[int, ...]:
-        return tuple(self.ids.tolist())
-
     @property
     def elements(self) -> tuple[SketchElement, ...]:
         """The arrays decoded as one SketchElement per retained element."""
@@ -264,10 +255,6 @@ class Sketch:
         if "system" not in self._decoded:
             self._decoded["system"] = _system_of(self.params.n, self.degrees, self.sets)
         return self._decoded["system"]
-
-    def covered_retained(self, chosen: Iterable[int]) -> int:
-        """Number of retained elements hit by the chosen sets (unscaled)."""
-        return self.system.coverage(chosen)
 
     def __eq__(self, other):
         # Equality matches the serialized identity: the header stores
@@ -299,7 +286,7 @@ class CoverageEstimate(NamedTuple):
 
 def estimate_coverage(sk: Sketch, chosen: Iterable[int]) -> CoverageEstimate:
     """Estimate coverage of the chosen sets on the sketched instance."""
-    raw = sk.covered_retained(chosen)
+    raw = sk.system.coverage(chosen)
     return CoverageEstimate(raw=raw, scaled=raw / sk.threshold)
 
 
@@ -438,26 +425,26 @@ class StreamingSketchBuilder:
     def seen_edge_count(self) -> int:
         return self.stats.seen_edges
 
-    def update(self, set_id: int, element_id: int) -> None:
-        """One arrival: a one-edge block."""
-        self.extend(((set_id, element_id),))
-
     def extend(self, edges: Iterable[Edge]) -> None:
         """All arrivals of an edge iterable, or of a source's `blocks()`."""
         for set_ids, element_ids in edge_blocks(edges):
             self.update_block(set_ids, element_ids)
 
     def update_block(self, set_ids, element_ids) -> None:
-        """Arrivals given as two equal-length integer arrays, in order."""
+        """Arrivals given as two equal-length integer arrays, in order.
+
+        `id_array` refuses non-integer ids; a set id outside [0, n), or an
+        element id outside [0, 2^32), raises IdRangeError naming the first.
+        """
         if self._finalized:
-            raise StateError("update() after finalize()")
-        u = np.asarray(set_ids, dtype=np.int64)
-        v = np.asarray(element_ids, dtype=np.int64)
+            raise StateError("update_block() after finalize()")
+        u, v = id_array(set_ids), id_array(element_ids)
         if u.shape != v.shape or u.ndim != 1:
             raise ValueError("a block is two 1-d arrays of equal length")
         if not u.size:
             return
         self._check_ids(u, v)
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
         self.stats.seen_edges += int(v.size)
         if self._reject is not None:
             fresh = self._hasher.values(v) < self._reject
@@ -585,8 +572,10 @@ def load_sketch(stream: IO) -> Sketch:
     is all that estimation and solving consume. A file that breaks a sketch
     invariant raises ParseError at the first bad record in file order: set
     ids must be strictly ascending and below n, elements strictly ascending
-    in (hash, id), and a threshold other than 1 must be the unit hash of the
-    last element. One walk over the degree fields finds the records.
+    in (hash, id), each stored hash the keyed hash of its element id under
+    the stored seed (a bijection, so no id repeats), and a threshold other
+    than 1 must be the unit hash of the last element. One walk over the
+    degree fields finds the records.
     """
     head = stream.read(_HEADER.size)
     if len(head) != _HEADER.size:
@@ -620,6 +609,8 @@ def load_sketch(stream: IO) -> Sketch:
     bad = np.zeros(len(starts) + 1, dtype=bool)
     bad[1:len(starts)] = (hashes[1:] < hashes[:-1]) | (
         (hashes[1:] == hashes[:-1]) & (ids[1:] <= ids[:-1]))
+    keyed = hashes == ElementHasher(seed).values(ids)
+    bad[:len(starts)] |= ~keyed
     bad[owner[1:][(owner[1:] == owner[:-1]) & (sets[1:] <= sets[:-1])]] = True
     bad[owner[sets >= n]] = True
     bad[whole] |= whole < count
@@ -633,6 +624,9 @@ def load_sketch(stream: IO) -> Sketch:
         if i and (int(hashes[i]), elem) <= (int(hashes[i - 1]), int(ids[i - 1])):
             raise ParseError(f"element {elem} out of ascending (hash, id) order",
                              offset=offset)
+        if not keyed[i]:
+            raise ParseError(f"hash {int(hashes[i])} is not the keyed hash of "
+                             f"element {elem} under seed {seed}", offset=offset)
         offset += _RECORD
         if i == whole:
             raise ParseError(_TRUNCATED.format(4 * int(degrees[i]), "set id list"),

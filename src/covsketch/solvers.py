@@ -138,45 +138,6 @@ def greedy_setcover(target) -> Solution:
         lambda pick: pick[1] > 0, _greedy_picks(as_set_system(target)))))
 
 
-def threshold_greedy(target, k: int, eps_prime: float) -> Solution:
-    """Descending-threshold greedy: accept any set whose gain meets the bar.
-
-    The bar starts at the largest set size d and decays by (1 - eps_prime)
-    per round until it drops below (eps_prime / n) * d or k sets are chosen.
-    One pass per round scans set ids in ascending order, so picks are
-    deterministic; no zero-gain padding is applied.
-    """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if not 0.0 < eps_prime < 1.0:
-        raise ConfigError(f"eps_prime must lie in (0, 1), got {eps_prime}")
-    system = as_set_system(target)
-    d = max((mask.bit_count() for mask in system.masks), default=0)
-    chosen: list[int] = []
-    gains: list[int] = []
-    covered = 0
-    if d > 0:
-        used = [False] * system.n
-        w = float(d)
-        floor = (eps_prime / system.n) * d
-        while w >= floor and len(chosen) < k:
-            for u in range(system.n):
-                if used[u] or len(chosen) >= k:
-                    continue
-                gain = (system.masks[u] & ~covered).bit_count()
-                if gain >= w:
-                    used[u] = True
-                    chosen.append(u)
-                    gains.append(gain)
-                    covered |= system.masks[u]
-            w *= 1.0 - eps_prime
-    sol = Solution(chosen=tuple(chosen), covered_on_target=covered.bit_count(),
-                   gains=tuple(gains))
-    if isinstance(target, Sketch):
-        sol.estimate = estimate_coverage(target, sol.chosen)
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # Streaming k-cover
 

@@ -11,9 +11,8 @@ import random
 import statistics
 import time
 
-from covsketch import (CoverageInstance, DistinctSketch, OutlierParams,
-                       PlantedGoldInstance, SketchParams,
-                       StreamingSketchBuilder, brute_force_kcover,
+from covsketch import (CoverageInstance, OutlierParams, PlantedGoldInstance,
+                       SketchParams, StreamingSketchBuilder, brute_force_kcover,
                        brute_force_setcover, build_per_set_sketches,
                        build_sketch_from_stream, build_sketch_offline,
                        gen_disjointness, gen_planted_cover, gen_random,
@@ -219,12 +218,10 @@ def test_criterion_09_distinct_count_baseline():
         capacity = rng.randint(2, 48)
         reps = rng.randint(1, 3)
         seed = rng.randrange(2 ** 32)
-        a = DistinctSketch(capacity, seed, reps)
-        b = DistinctSketch(capacity, seed, reps)
-        for _ in range(rng.randint(0, 120)):
-            a.insert(rng.randrange(10 ** 6))
-        for _ in range(rng.randint(0, 120)):
-            b.insert(rng.randrange(10 ** 6))
+        # one set's sketch of 0-120 random elements, a then b, drawn as before
+        a, b = [build_per_set_sketches(
+            [(0, rng.randrange(10 ** 6)) for _ in range(rng.randint(0, 120))],
+            1, capacity, seed, reps)[0] for _ in range(2)]
         if merge_sketches(a, b) != merge_sketches(b, a):
             law_breaks += 1
         if merge_sketches(a, a) != a:
@@ -233,9 +230,8 @@ def test_criterion_09_distinct_count_baseline():
     truth = 10 ** 4
     accurate = 0
     for seed in range(200):
-        sk = DistinctSketch(1024, seed)
-        for v in range(truth):
-            sk.insert(v)
+        sk = build_per_set_sketches([(0, v) for v in range(truth)], 1, 1024,
+                                    seed)[0]
         if abs(sk.estimate() - truth) <= 0.10 * truth:
             accurate += 1
 

@@ -14,9 +14,11 @@ disjointness sweep calls `instance.gen_disjointness` and
 `solvers.brute_force_kcover` through their modules. Of each sketch it
 builds, `layers.note_finalize` reads `edge_total`, `element_count`,
 `threshold` and `space_units`, and `workloads.sketch_checks` reads the
-decoded `elements` (`.element`, `.hash`, `.sets`) and round-trips the
-sketch through `save_sketch`/`load_sketch`. The benchmark's files stay as
-they are, so the package keeps these names and signatures.
+decoded `elements` (`.element`, `.hash`, `.sets`), compares each `.hash`
+with the scalar `ElementHasher(sk.seed).value(item.element)` (a Python
+int), and round-trips the sketch through `save_sketch`/`load_sketch`. The
+benchmark's files stay as they are, so the package keeps these names and
+signatures.
 """
 
 import io
@@ -24,9 +26,9 @@ from pathlib import Path
 
 import pytest
 
-from covsketch import (CoverageInstance, PlantedGoldInstance, SketchParams,
-                       StreamingSketchBuilder, cli, harness, random_edge_stream,
-                       solvers, write_edges_binary)
+from covsketch import (CoverageInstance, ElementHasher, PlantedGoldInstance,
+                       SketchParams, StreamingSketchBuilder, cli, harness,
+                       random_edge_stream, solvers, write_edges_binary)
 from covsketch.harness import GenEdgeSource, parse_gen_spec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -121,4 +123,6 @@ def test_sketch_keeps_what_the_benchmark_reads(monkeypatch, budget):
     assert sk.space_units == sk.element_count + sk.edge_total
     item = sk.elements[0]
     assert (type(item.element), type(item.hash), type(item.sets)) == (int, int, tuple)
+    value = ElementHasher(sk.seed).value(item.element)
+    assert type(value) is int and value == item.hash
     assert sketch_checks(sk) == []

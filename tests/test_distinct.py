@@ -1,8 +1,7 @@
 """Distinct-count sketches and the enumeration k-cover baseline."""
 
-import io
 import math
-import struct
+from bisect import bisect_left, insort
 
 import pytest
 from hypothesis import given, settings
@@ -10,18 +9,36 @@ from hypothesis import strategies as st
 
 from covsketch import instance
 from covsketch import (DistinctSketch, build_per_set_sketches, gen_random,
-                       kcover_via_l0, load_distinct, merge_sketches,
-                       save_distinct)
+                       kcover_via_l0, merge_sketches)
 from covsketch.errors import (ConfigError, GuardExceededError, IdRangeError,
-                              IncompatibleSketchError, ParseError)
+                              IncompatibleSketchError)
 from covsketch.hashing import ElementHasher, derive_seed, unit_from_u64
 
 
 def _filled(values, capacity=8, seed=3, reps=1):
-    sk = DistinctSketch(capacity, seed, reps)
-    for v in values:
-        sk.insert(v)
-    return sk
+    """One set's sketch of the values, as the bank builds it."""
+    return build_per_set_sketches([(0, v) for v in values], 1, capacity, seed,
+                                  reps)[0]
+
+
+def _insert(sk, element):
+    """The former per-element insert: keep element's hash iff among the t
+    smallest of each repetition; duplicate-safe."""
+    if element < 0:
+        raise IdRangeError(f"element id {element} is negative")
+    for rep in range(sk.reps):
+        h = ElementHasher(derive_seed(sk.seed, rep)).value(element)
+        mins = sk.mins[rep]
+        pos = bisect_left(mins, h)
+        if pos < len(mins) and mins[pos] == h:
+            continue
+        if len(mins) >= sk.capacity:
+            if h >= mins[-1]:
+                continue
+            insort(mins, h)
+            mins.pop()
+        else:
+            insort(mins, h)
 
 
 def test_constructor_domain():
@@ -30,7 +47,7 @@ def test_constructor_domain():
     with pytest.raises(ConfigError):
         DistinctSketch(4, seed=0, reps=0)
     with pytest.raises(IdRangeError):
-        DistinctSketch(4, seed=0).insert(-1)
+        _filled([-1], capacity=4, seed=0)
 
 
 def test_exact_below_capacity():
@@ -144,7 +161,7 @@ def _bank_by_inserts(edges, n, capacity, seed, reps):
     for u, v in edges:
         if not 0 <= u < n:
             raise IdRangeError(f"set id {u} outside [0, {n})")
-        bank[u].insert(v)
+        _insert(bank[u], v)
     return bank
 
 
@@ -218,55 +235,6 @@ def test_kcover_via_l0_guard_and_validation():
     mixed = [DistinctSketch(4, seed=0), DistinctSketch(4, seed=1)]
     with pytest.raises(IncompatibleSketchError):
         kcover_via_l0(mixed, 1)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_distinct_round_trip():
-    for reps in (1, 3):
-        sk = _filled(range(200), capacity=16, seed=6, reps=reps)
-        buf = io.BytesIO()
-        written = save_distinct(sk, buf)
-        assert written == len(buf.getvalue())
-        buf.seek(0)
-        loaded = load_distinct(buf)
-        assert loaded == sk
-        assert loaded.estimate() == sk.estimate()
-        # loaded sketches keep accepting inserts
-        loaded.insert(10**6)
-        merged = sk.merge(loaded)
-        assert merged.retained_hash_count >= sk.retained_hash_count
-
-
-def test_distinct_load_rejects_corruption():
-    sk = _filled(range(40), capacity=8, seed=2, reps=2)
-    buf = io.BytesIO()
-    save_distinct(sk, buf)
-    blob = buf.getvalue()
-    with pytest.raises(ParseError):
-        load_distinct(io.BytesIO(blob[:10]))         # truncated header
-    with pytest.raises(ParseError):
-        load_distinct(io.BytesIO(blob[:-4]))         # truncated hash list
-    # corrupt the sort order of the first repetition's list
-    head = 16
-    swapped = (blob[:head + 4] + blob[head + 12:head + 20]
-               + blob[head + 4:head + 12] + blob[head + 20:])
-    with pytest.raises(ParseError):
-        load_distinct(io.BytesIO(swapped))
-
-
-def test_distinct_load_rejects_more_hashes_than_capacity():
-    # capacity 2, one repetition holding 3 strictly increasing hashes
-    forged = (struct.pack("<IIQ", 2, 1, 0) + struct.pack("<I", 3)
-              + struct.pack("<3Q", 1 << 60, 1 << 61, 1 << 62))
-    with pytest.raises(ParseError, match="3 hashes in a repetition of capacity 2"):
-        load_distinct(io.BytesIO(forged))
-    # exactly `capacity` hashes still load
-    full = (struct.pack("<IIQ", 2, 1, 0) + struct.pack("<I", 2)
-            + struct.pack("<2Q", 1 << 60, 1 << 61))
-    assert load_distinct(io.BytesIO(full)).mins == [[1 << 60, 1 << 61]]
 
 
 def test_distinct_repr():

@@ -1,5 +1,7 @@
 """Hashing layer: splitmix64, seed derivation, element hashers."""
 
+import numpy as np
+
 from covsketch.hashing import (MASK64, ElementHasher, derive_seed, splitmix64,
                                unit_from_u64)
 
@@ -58,7 +60,7 @@ def test_element_hasher_no_collisions_per_seed():
 def test_unit_interval_and_rounding_corner():
     h = ElementHasher(3)
     for e in range(5_000):
-        u = h.unit(e)
+        u = unit_from_u64(h.value(e))
         assert 0.0 <= u <= 1.0
     assert unit_from_u64(0) == 0.0
     assert unit_from_u64(1 << 63) == 0.5
@@ -68,7 +70,13 @@ def test_unit_interval_and_rounding_corner():
 
 
 def test_unit_matches_value():
+    # on a float64 array of hashes (as sample_subgraph filters) as on each
+    # hash: round to nearest, ties to even, at the rounding corners too
     h = ElementHasher(11)
-    for e in range(100):
-        assert h.unit(e) == unit_from_u64(h.value(e))
+    corners = [MASK64, MASK64 - (1 << 10), MASK64 - (1 << 10) - 1, 1 << 63,
+               (1 << 63) + (1 << 10), (1 << 63) + (1 << 10) + 1,
+               (1 << 53) + 1, (1 << 53) + 3, 1, 0]
+    values = [h.value(e) for e in range(1000)] + corners
+    units = unit_from_u64(np.array(values, dtype=np.uint64).astype(np.float64))
+    assert units.tolist() == [unit_from_u64(v) for v in values]
 

@@ -8,6 +8,7 @@ set mask bits one (position, set ids) pair at a time.
 """
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 
 from covsketch import (CoverageInstance, EdgeStream, SketchParams,
                        brute_force_kcover, build_sketch_from_stream,
-                       build_sketch_offline, cap_element_degrees,
-                       gen_planted_cover, greedy_kcover, greedy_setcover,
+                       build_sketch_offline, gen_planted_cover, greedy_kcover, greedy_setcover,
                        load_sketch, random_edge_stream, recap_sketch,
                        sample_subgraph, save_sketch, write_edges_binary,
                        write_edges_text)
 from covsketch.errors import IdRangeError, IsolatedElementError
+from covsketch.hashing import ElementHasher, unit_from_u64
 from covsketch.instance import (BLOCK_EDGES, SetSystem, materialize_system,
                                 random_edge_blocks)
 from covsketch.solvers import as_set_system
@@ -109,9 +110,39 @@ def test_sketch_and_view_systems_match_per_edge_reference():
     for sk in (loaded, level):
         assert sk.system == _reference_system(n, [item.sets for item in sk.elements])
     view = sample_subgraph(inst, 0.4, seed=3)
-    for v in (view, cap_element_degrees(view, 3)):
-        assert 0 < len(v.elements) < m
-        assert v.system == _reference_system(n, [v.incident[e] for e in v.elements])
+    assert 0 < view.ids.size < m
+    assert view.system == _reference_system(
+        n, [inst.elements[e] for e in view.ids.tolist()])
+
+
+@st.composite
+def sampled_instances(draw):
+    """(instance, p, seed), p one of 0, 1, an element's exact unit hash, the
+    double just below one, or any float in [0, 1]."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 60))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                          max_size=150))
+    inst = CoverageInstance.from_edges(n, m, edges, attach_isolated_seed=1)
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    hasher = ElementHasher(seed)
+    unit = st.sampled_from([unit_from_u64(hasher.value(e)) for e in range(m)])
+    p = draw(st.one_of(st.just(0.0), st.just(1.0), unit,
+                       unit.map(lambda u: math.nextafter(u, 0.0)),
+                       st.floats(0.0, 1.0)))
+    return inst, p, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_instances())
+def test_sample_subgraph_keeps_exactly_the_scalar_filter(case):
+    inst, p, seed = case
+    hasher = ElementHasher(seed)
+    kept = [e for e in range(inst.m) if unit_from_u64(hasher.value(e)) <= p]
+    view = sample_subgraph(inst, p, seed)
+    assert view.ids.tolist() == kept
+    assert view.system == _reference_system(inst.n, [inst.elements[e] for e in kept])
+    assert view.edge_count == sum(len(inst.elements[e]) for e in kept)
 
 
 def _reference_finish(n, m, by_set):

@@ -378,6 +378,21 @@ def test_from_edges_id_range_errors():
         CoverageInstance.from_edges(0, 2, [])
 
 
+def test_from_edges_refuses_ids_it_would_truncate_or_wrap():
+    # a float id was truncated: these built masks (1, 2)
+    with pytest.raises(IdRangeError, match="id 0.9 is not an integer"):
+        CoverageInstance.from_edges(2, 2, [(0.9, 0), (1, 1.5)])
+    with pytest.raises(IdRangeError, match="an id exceeds the 64-bit range"):
+        CoverageInstance.from_edges(2, 2, [(0, 0), (1, 2 ** 64 + 1)])
+    # a uint64 id past int64 would wrap to a negative one
+    big = [(np.uint64(0), np.uint64(0)), (np.uint64(1), np.uint64(2 ** 63))]
+    with pytest.raises(IdRangeError, match="id 9223372036854775808 exceeds"):
+        CoverageInstance.from_edges(2, 2, big)
+    # numpy reads a mix of numpy and Python ints as floats; still ints here
+    mixed = [(np.uint64(0), 0), (1, np.uint64(1))]
+    assert CoverageInstance.from_edges(2, 2, mixed).masks == (1, 2)
+
+
 def test_from_edges_isolated_elements():
     with pytest.raises(IsolatedElementError):
         CoverageInstance.from_edges(2, 3, [(0, 0), (1, 2)])

@@ -4,16 +4,17 @@ import io
 import math
 import random
 import re
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsketch import (CoverageInstance, Sketch, SketchParams,
                        StreamingSketchBuilder, build_sketch_from_stream,
-                       build_sketch_offline, cap_element_degrees,
-                       estimate_coverage, gen_random, load_sketch,
-                       sample_subgraph, save_sketch)
+                       build_sketch_offline, estimate_coverage, gen_random,
+                       load_sketch, sample_subgraph, save_sketch)
 from covsketch.errors import ConfigError, IdRangeError, ParseError, StateError
 from covsketch.hashing import ElementHasher, unit_from_u64
 from covsketch.instance import BLOCK_EDGES
@@ -80,10 +81,10 @@ def test_custom_budgets_taken_verbatim():
 def test_sample_subgraph_extremes():
     inst = gen_random(5, 20, 0.3, seed=1)
     everything = sample_subgraph(inst, 1.0, seed=7)
-    assert everything.elements == tuple(range(inst.m))
+    assert everything.ids.tolist() == list(range(inst.m))
     assert everything.edge_count == inst.edge_count
     nothing = sample_subgraph(inst, 0.0, seed=7)
-    assert nothing.elements == ()
+    assert nothing.ids.size == 0
     assert nothing.edge_count == 0
     with pytest.raises(ConfigError):
         sample_subgraph(inst, -0.1, seed=7)
@@ -96,37 +97,27 @@ def test_sample_subgraph_matches_hash_filter():
     p, seed = 0.4, 9
     view = sample_subgraph(inst, p, seed)
     hasher = ElementHasher(seed)
-    expect = tuple(e for e in range(inst.m) if hasher.unit(e) <= p)
-    assert view.elements == expect
-    for e in view.elements:
-        assert view.incident[e] == inst.elements[e]
+    expect = [e for e in range(inst.m) if unit_from_u64(hasher.value(e)) <= p]
+    assert view.ids.tolist() == expect
+    assert view.degrees.tolist() == [len(inst.elements[e]) for e in expect]
+    assert view.sets.tolist() == [u for e in expect for u in inst.elements[e]]
+    assert not (view.ids.flags.writeable or view.degrees.flags.writeable
+                or view.sets.flags.writeable)
 
 
 def test_sample_subgraph_nested_across_p():
     inst = gen_random(6, 50, 0.3, seed=3)
     grid = [0.0, 0.1, 0.25, 0.5, 0.9, 1.0]
-    views = [set(sample_subgraph(inst, p, seed=4).elements) for p in grid]
+    views = [set(sample_subgraph(inst, p, seed=4).ids.tolist()) for p in grid]
     for smaller, bigger in zip(views, views[1:]):
         assert smaller <= bigger
-
-
-def test_cap_element_degrees_keeps_smallest_ids():
-    edges = [(u, 0) for u in range(10)] + [(0, 1)]
-    inst = CoverageInstance.from_edges(10, 2, edges)
-    view = sample_subgraph(inst, 1.0, seed=5)
-    capped = cap_element_degrees(view, 3)
-    assert capped.incident[0] == (0, 1, 2)
-    assert capped.incident[1] == (0,)
-    assert capped.edge_count == sum(min(inst.degree(e), 3) for e in range(inst.m))
-    with pytest.raises(ConfigError):
-        cap_element_degrees(view, 0)
 
 
 def test_view_covered_count():
     inst = gen_random(6, 25, 0.35, seed=6)
     view = sample_subgraph(inst, 0.6, seed=8)
     chosen = [1, 4]
-    want = sum(1 for e in view.elements
+    want = sum(1 for e in view.ids.tolist()
                if set(chosen) & set(inst.elements[e]))
     assert view.covered_count(chosen) == want
 
@@ -144,9 +135,9 @@ def test_offline_tiny_prefix():
     sk = build_sketch_offline(inst, params, seed)
     hasher = ElementHasher(seed)
     order = sorted(range(6), key=lambda e: (hasher.value(e), e))
-    assert sk.element_ids() == tuple(order[:3])
+    assert sk.ids.tolist() == order[:3]
     assert sk.edge_total == 3
-    assert sk.threshold == hasher.unit(order[2])
+    assert sk.threshold == unit_from_u64(hasher.value(order[2]))
     hashes = [item.hash for item in sk.elements]
     assert hashes == sorted(hashes)
 
@@ -264,19 +255,19 @@ def test_streaming_budget_window_and_minimality():
 def test_streaming_counts_and_lifecycle():
     params = _cap_nonbinding(3, 100)
     builder = StreamingSketchBuilder(params, seed=0)
-    builder.update(0, 5)
-    builder.update(0, 5)          # duplicate: seen but not retained
-    builder.update(1, 5)
+    builder.update_block([0], [5])
+    builder.update_block([0], [5])          # duplicate: seen but not retained
+    builder.update_block([1], [5])
     assert builder.seen_edge_count == 3
     assert builder.retained_edge_count == 2
     with pytest.raises(IdRangeError):
-        builder.update(3, 0)
+        builder.update_block([3], [0])
     with pytest.raises(IdRangeError):
-        builder.update(0, -1)
+        builder.update_block([0], [-1])
     sk = builder.finalize()
-    assert sk.element_ids() == (5,)
+    assert sk.ids.tolist() == [5]
     with pytest.raises(StateError):
-        builder.update(0, 1)
+        builder.update_block([0], [1])
     with pytest.raises(StateError):
         builder.finalize()
 
@@ -284,18 +275,44 @@ def test_streaming_counts_and_lifecycle():
 def test_streaming_rejects_element_ids_beyond_32_bits():
     builder = StreamingSketchBuilder(_cap_nonbinding(3, 100), seed=0)
     with pytest.raises(IdRangeError, match="32-bit"):
-        builder.update(0, 2 ** 32 + 5)
+        builder.update_block([0], [2 ** 32 + 5])
     with pytest.raises(IdRangeError):
-        builder.update(0, 2 ** 64 + 1)
+        builder.update_block([0], [2 ** 64 + 1])
     with pytest.raises(IdRangeError):
         builder.extend([(0, 1), (1, 2 ** 32)])
-    builder.update(0, 2 ** 32 - 1)
+    builder.update_block([0], [2 ** 32 - 1])
     sk = builder.finalize()
-    assert sk.element_ids() == (2 ** 32 - 1,)
+    assert sk.ids.tolist() == [2 ** 32 - 1]
     buf = io.BytesIO()
     save_sketch(sk, buf)
     buf.seek(0)
     assert load_sketch(buf) == sk
+
+
+_U64 = np.uint64
+
+
+@pytest.mark.parametrize("set_ids, element_ids, message", [
+    ([0.5], [1], "id 0.5 is not an integer"),
+    ([0], [2.9], "id 2.9 is not an integer"),
+    ([0], [2 ** 64 + 1], "an id exceeds the 64-bit range"),
+    (np.array([0], _U64), np.array([2 ** 32], _U64),
+     "element id 4294967296 exceeds the 32-bit range"),
+    (np.array([0], _U64), np.array([2 ** 63], _U64),
+     "element id 9223372036854775808 exceeds the 32-bit range"),
+], ids=["float-set", "float-element", "past-64-bits", "u64-2^32", "u64-2^63"])
+def test_update_block_refuses_ids_it_would_truncate_or_wrap(set_ids, element_ids,
+                                                            message):
+    builder = StreamingSketchBuilder(_cap_nonbinding(3, 100), seed=0)
+    with pytest.raises(IdRangeError, match=re.escape(message)):
+        builder.update_block(set_ids, element_ids)
+    assert builder.seen_edge_count == 0
+
+
+def test_streamed_float_ids_are_refused_not_truncated():
+    # (0.5, 2.9) was kept as element 2 in set 0
+    with pytest.raises(IdRangeError, match="id 0.5 is not an integer"):
+        build_sketch_from_stream([(0.5, 2.9)], _cap_nonbinding(3, 100), seed=0)
 
 
 def test_builder_stats_account_for_every_arrival():
@@ -352,7 +369,7 @@ def test_estimate_scales_by_threshold():
     inst = gen_random(7, 200, 0.2, seed=9)
     sk = build_sketch_offline(inst, _cap_nonbinding(7, 40), seed=5)
     est = estimate_coverage(sk, [0, 3])
-    assert est.raw == sk.covered_retained([0, 3])
+    assert est.raw == sk.system.coverage([0, 3])
     assert est.scaled == est.raw / sk.threshold
     assert float(est) == est.scaled
     with pytest.raises(IdRangeError):
@@ -398,7 +415,7 @@ def test_save_load_round_trip_custom_params():
     loaded = load_sketch(buf)
     assert loaded == sk
     # loaded params come from the formula, structure is authoritative
-    assert loaded.element_ids() == sk.element_ids()
+    assert loaded.ids.tolist() == sk.ids.tolist()
     assert loaded.threshold == sk.threshold
     out = io.BytesIO()
     save_sketch(loaded, out)
@@ -429,7 +446,6 @@ def test_load_rejects_corruption():
     # edge-total header field inconsistent with the records
     head = bytearray(blob[: 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 4 + 8])
     total_off = len(head) - 8
-    import struct
     stored = struct.unpack_from("<Q", head, total_off)[0]
     struct.pack_into("<Q", head, total_off, stored + 1)
     with pytest.raises(ParseError):
@@ -438,7 +454,6 @@ def test_load_rejects_corruption():
 
 def _craft(n, seed, threshold, records):
     """Sketch bytes from raw (element, hash, set ids) records."""
-    import struct
     total = sum(len(sets) for _, _, sets in records)
     out = struct.pack("<4sIIIddQdIQ", b"CVSK", 1, n, 1, 0.2, 1.0, seed,
                       threshold, len(records), total)
@@ -448,17 +463,24 @@ def _craft(n, seed, threshold, records):
     return out
 
 
+_H = ElementHasher(3)     # the seed of every crafted sketch
+
+
+def _keyed(elements):
+    """(hash, id) of each element under _H, ascending."""
+    return sorted((_H.value(e), e) for e in elements)
+
+
 def test_load_accepts_crafted_valid_sketch():
-    h = ElementHasher(3)
-    (h0, e0), (h1, e1) = sorted((h.value(e), e) for e in (4, 9))
+    (h0, e0), (h1, e1) = _keyed((4, 9))
     for threshold in (1.0, unit_from_u64(h1)):
         sk = load_sketch(io.BytesIO(_craft(2, 3, threshold,
                                            [(e0, h0, (0, 1)), (e1, h1, (1,))])))
-        assert sk.element_ids() == (e0, e1) and sk.edge_total == 3
+        assert sk.ids.tolist() == [e0, e1] and sk.edge_total == 3
 
 
 def test_load_rejects_set_id_outside_n():
-    blob = _craft(2, 3, 1.0, [(5, 10, (0, 99))])
+    blob = _craft(2, 3, 1.0, [(5, _H.value(5), (0, 99))])
     with pytest.raises(ParseError, match="outside"):
         load_sketch(io.BytesIO(blob))
 
@@ -466,21 +488,25 @@ def test_load_rejects_set_id_outside_n():
 def test_load_rejects_unsorted_or_duplicate_set_ids():
     for sets in ((1, 0), (1, 1)):
         with pytest.raises(ParseError, match="ascending"):
-            load_sketch(io.BytesIO(_craft(2, 3, 1.0, [(5, 10, sets)])))
+            load_sketch(io.BytesIO(_craft(2, 3, 1.0, [(5, _H.value(5), sets)])))
 
 
 def test_load_rejects_elements_out_of_hash_order():
-    for records in ([(5, 20, (0,)), (6, 10, (1,))],      # hashes descend
-                    [(6, 10, (0,)), (5, 10, (1,))],      # tie, ids descend
-                    [(5, 10, (0,)), (5, 10, (1,))]):     # repeated element
+    (ha, a), (hb, b) = _keyed((5, 6))
+    h5, h6 = _H.value(5), _H.value(6)
+    # the order check comes before the keyed-hash check of the same record
+    for records in ([(b, hb, (0,)), (a, ha, (1,))],      # hashes descend
+                    [(6, h6, (0,)), (5, h6, (1,))],      # tie, ids descend
+                    [(5, h5, (0,)), (5, h5, (1,))]):     # repeated element
         with pytest.raises(ParseError, match="order"):
             load_sketch(io.BytesIO(_craft(2, 3, 1.0, records)))
 
 
 def test_load_rejects_threshold_off_the_last_hash():
-    records = [(5, 2 ** 60, (0,)), (6, 2 ** 62, (1,))]
-    assert load_sketch(io.BytesIO(_craft(2, 3, 0.25, records))).threshold == 0.25
-    for threshold in (0.5, 0.0625, 1.5):
+    records = [(e, h, (u,)) for u, (h, e) in enumerate(_keyed((5, 6)))]
+    last = unit_from_u64(records[-1][1])
+    assert load_sketch(io.BytesIO(_craft(2, 3, last, records))).threshold == last
+    for threshold in (last / 2, (1.0 + last) / 2, 1.5):
         with pytest.raises(ParseError, match="threshold"):
             load_sketch(io.BytesIO(_craft(2, 3, threshold, records)))
     with pytest.raises(ParseError, match="threshold"):
@@ -491,7 +517,6 @@ def test_load_rejects_threshold_off_the_last_hash():
                                            (0, 0.2, "n must be >= 1")],
                          ids=["eps", "n"])
 def test_load_rejects_a_header_outside_the_params_domain(n, eps, domain):
-    import struct
     blob = struct.pack("<4sIIIddQdIQ", b"CVSK", 1, n, 1, eps, 1.0, 3, 1.0, 0, 0)
     with pytest.raises(ParseError, match=re.escape(domain)) as err:
         load_sketch(io.BytesIO(blob))
@@ -533,7 +558,7 @@ def test_save_load_save_is_byte_identical(sk):
 
 
 _N = 5
-_RECORDS = [(e, (e + 1) << 40, tuple(range(2 + e % 3))) for e in range(30)]
+_RECORDS = [(e, h, tuple(range(2 + i % 3))) for i, (h, e) in enumerate(_keyed(range(30)))]
 
 
 def _record_at(records, i):
@@ -553,9 +578,9 @@ def _with(records, i, kind):
 
 
 _FAULTS = {    # kind: (message, offset past the start of the bad record)
-    "set-order": ("set ids of element {i} are not strictly ascending", 16),
-    "set-range": (f"set id {_N + 2} of element {{i}} outside [0, {_N})", 16),
-    "key-order": ("element {i} out of ascending (hash, id) order", 0),
+    "set-order": ("set ids of element {e} are not strictly ascending", 16),
+    "set-range": (f"set id {_N + 2} of element {{e}} outside [0, {_N})", 16),
+    "key-order": ("element {e} out of ascending (hash, id) order", 0),
 }
 
 
@@ -570,7 +595,7 @@ def test_load_reports_the_first_bad_record_in_file_order(i, kind):
         records = _with(records, i + 2, later)
     with pytest.raises(ParseError) as err:
         load_sketch(io.BytesIO(_craft(_N, 3, 1.0, records)))
-    assert str(err.value).startswith(message.format(i=i))
+    assert str(err.value).startswith(message.format(e=records[i][0]))
     assert err.value.offset == _record_at(records, i) + past
 
 
@@ -591,6 +616,24 @@ def test_load_reports_truncation_and_trailing_bytes_at_their_offset(i):
         with pytest.raises(ParseError, match=re.escape(message)) as err:
             load_sketch(io.BytesIO(data))
         assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("i", [0, 1, -1])
+def test_load_rejects_a_hash_that_is_not_its_elements_keyed_hash(i):
+    inst = gen_random(5, 40, 0.3, seed=1)
+    sk = build_sketch_offline(inst, _cap_nonbinding(5, 15), seed=0)
+    ids = sk.ids.tolist()
+    i %= len(ids)
+    start = 60 + 16 * i + 4 * int(sk.degrees[:i].sum())
+    # another id, the previous record's for i > 0 (a repeat), with the hash
+    # left alone: the seed would not have sampled it there
+    other = ids[i - 1] if i else next(e for e in range(inst.m) if e not in ids)
+    blob = bytearray(_saved(sk))
+    struct.pack_into("<I", blob, start, other)
+    with pytest.raises(ParseError, match=re.escape(
+            f"is not the keyed hash of element {other} under seed 0")) as err:
+        load_sketch(io.BytesIO(bytes(blob)))
+    assert err.value.offset == start
 
 
 def test_sketch_repr_and_space_units():

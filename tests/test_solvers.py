@@ -19,8 +19,7 @@ from covsketch import (BRUTE_FORCE_GUARD, EdgeStream, MultipassParams,
                        derive_seed, gen_planted_cover, gen_random,
                        greedy_kcover, greedy_setcover, kcover_via_sketch,
                        probe_params, probe_on_sketch, sample_subgraph,
-                       setcover_multipass, setcover_outliers, setcover_probe,
-                       threshold_greedy)
+                       setcover_multipass, setcover_outliers, setcover_probe)
 from covsketch.errors import (ConfigError, GuardExceededError, IdRangeError,
                               StateError)
 from covsketch.instance import CoverageInstance, edge_blocks, random_edge_blocks
@@ -168,40 +167,6 @@ def test_greedy_setcover_matches_naive_reference():
 
 
 # ---------------------------------------------------------------------------
-# Threshold greedy
-
-
-def test_threshold_greedy_small_shapes():
-    one = SetSystem(n=1, universe=3, masks=(0b111,))
-    assert threshold_greedy(one, 1, 0.1).chosen == (0,)
-    halves = SetSystem(n=2, universe=2, masks=(0b01, 0b10))
-    sol = threshold_greedy(halves, 2, 0.2)
-    assert sol.chosen == (0, 1)
-    assert sol.covered_on_target == 2
-
-
-def test_threshold_greedy_guarantee():
-    eps_prime = 0.1
-    bound = 1.0 - 1.0 / math.e - eps_prime
-    for seed in (8, 9, 10, 11, 12, 13, 14, 15):
-        inst = gen_random(12, 30, 0.25, seed=seed)
-        opt, _ = brute_force_kcover(inst, 3)
-        sol = threshold_greedy(inst, 3, eps_prime)
-        assert sol.covered_on_target >= bound * opt - 1e-9
-        assert len(sol.chosen) <= 3
-
-
-def test_threshold_greedy_domain():
-    inst = gen_random(3, 6, 0.5, seed=0)
-    with pytest.raises(ConfigError):
-        threshold_greedy(inst, 0, 0.1)
-    with pytest.raises(ConfigError):
-        threshold_greedy(inst, 2, 0.0)
-    with pytest.raises(ConfigError):
-        threshold_greedy(inst, 2, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Set-system adapter
 
 
@@ -221,7 +186,7 @@ def test_as_set_system_instance_and_sketch_agree():
         assert mask.bit_count() == inst.coverage(chosen)
     view = sample_subgraph(inst, 0.5, seed=2)
     sys_view = as_set_system(view)
-    assert sys_view.universe == len(view.elements)
+    assert sys_view.universe == view.ids.size
     with pytest.raises(TypeError):
         as_set_system("nope")
 

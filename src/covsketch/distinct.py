@@ -19,10 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (ConfigError, GuardExceededError, IdRangeError,
-                     IncompatibleSketchError)
+from .errors import ConfigError, GuardExceededError, IncompatibleSketchError
 from .hashing import ElementHasher, derive_seed, unit_from_u64
-from .instance import Edge, edge_blocks
+from .instance import Edge, edge_blocks, split_keys
 from .solvers import Solution
 
 L0_ENUM_GUARD = 1_000_000
@@ -126,13 +125,8 @@ def build_per_set_sketches(edges: Iterable[Edge], n: int, capacity: int,
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     bank = [DistinctSketch(capacity, seed, reps) for _ in range(n)]
-    for u, v in edge_blocks(edges):
-        bad = (u < 0) | (u >= n) | (v < 0)
-        if bad.any():
-            i = int(bad.argmax())
-            if not 0 <= u[i] < n:
-                raise IdRangeError(f"set id {u[i]} outside [0, {n})")
-            raise IdRangeError(f"element id {v[i]} is negative")
+    for keys in edge_blocks(edges, n):
+        u, v = split_keys(keys)
         # the block's distinct (set id, element) pairs, ordered by set id
         elements, ranks = np.unique(v, return_inverse=True)
         pairs = np.unique(u * elements.size + ranks)

@@ -20,9 +20,10 @@ import numpy as np
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
 # load_edges is unused here; perfbench/layers.py patches it in --trace 1 runs
-from .instance import (Edge, EdgeStream, edge_blocks, gen_disjointness,
-                       gen_planted_cover, load_edge_blocks, load_edges,
-                       random_edge_blocks, read_metadata)
+from .instance import (KEY_LOW, KEY_SHIFT, Edge, EdgeStream, edge_blocks,
+                       gen_disjointness, gen_planted_cover, load_edge_blocks,
+                       load_edges, random_edge_blocks, read_metadata,
+                       split_keys)
 from .solvers import Solution
 
 SEED_GENERATOR = 1
@@ -194,12 +195,13 @@ def scan_shape(edges: Iterable[Edge]) -> tuple[int, int, int]:
     max_u = -1
     max_v = -1
     count = 0
-    for u, v in edge_blocks(edges):
-        if not u.size:
+    for keys in edge_blocks(edges):
+        if not keys.size:
             continue
+        u, v = split_keys(keys)
         max_u = max(max_u, int(u.max()))
         max_v = max(max_v, int(v.max()))
-        count += int(u.size)
+        count += int(keys.size)
     return (max_u + 1, max_v + 1, count)
 
 
@@ -207,9 +209,10 @@ def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
                      ) -> tuple[int, int]:
     """(covered, universe) distinct-element counts from one stream pass.
 
-    A boolean table over the span of the chosen ids finds the covering
-    arrivals. Each count's distinct ids are sorted runs (see `_Runs`), which
-    hold at most about twice the distinct ids, plus one block.
+    A boolean table over the span of the chosen ids, looked up by each key's
+    set id, finds the covering arrivals. Each count's distinct ids are sorted
+    runs (see `_Runs`), which hold at most about twice the distinct ids, plus
+    one block.
     """
     picks = np.array(sorted(set(chosen)), dtype=np.int64)
     covered, universe = _Runs(), _Runs()
@@ -217,10 +220,12 @@ def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
         below = int(picks[0]) - 1       # table[0] and table[-1] are the misses
         table = np.zeros(int(picks[-1]) - below + 2, dtype=bool)
         table[picks - below] = True
-    for u, v in edge_blocks(edges):
+    for keys in edge_blocks(edges):
+        v = keys >> KEY_SHIFT
         universe.add(v)
         if picks.size:
-            covered.add(v[table[np.clip(u, below, below + table.size - 1) - below]])
+            hit = table.take((keys & KEY_LOW).view(np.int64) - below, mode="clip")
+            covered.add(v[hit])
     return (covered.count(), universe.count())
 
 

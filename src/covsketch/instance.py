@@ -2,12 +2,22 @@
 
 An instance is a bipartite graph between n sets (ids 0..n-1) and m elements
 (ids 0..m-1). Edges arrive as (set_id, element_id) pairs. Loaders stream
-and never materialize the whole input: they yield blocks, pairs of int64
-arrays (set ids, element ids) of at most BLOCK_EDGES rows, and an
-`EdgeStream` is one open of such a block view; its edges one at a time are
-the blocks' flatten. Every element of a constructed instance belongs to at
-least one set: isolated elements are either attached to a uniformly random
-set (when an attachment seed is supplied) or rejected.
+and never materialize the whole input: they yield blocks of at most
+BLOCK_EDGES edges, and an `EdgeStream` is one open of such a block view;
+its edges one at a time are the blocks' flatten.
+
+Every edge has one encoding, from file to sketch: the u64 key
+(element id << 32) | set id, both ids in [0, 2^32). A block is one
+C-contiguous uint64 key array. A binary edge file's record, a little-endian
+u32 set id then a u32 element id, read as one little-endian u64 is that key,
+so a binary block is a read-only view of the bytes read; the text parser,
+the tuple batcher and the generator pack their ids once, after the range
+check. Nothing writes into a block. `split_keys` gives a block's
+(set ids, element ids) as int64 arrays.
+
+Every element of a constructed instance belongs to at least one set:
+isolated elements are either attached to a uniformly random set (when an
+attachment seed is supplied) or rejected.
 
 Incidence has one representation, `SetSystem` (per-set bitmasks): an
 instance is a SetSystem over its element ids, and sketches, views and
@@ -23,7 +33,6 @@ import itertools
 import json
 import numbers
 import operator
-import struct
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -31,14 +40,16 @@ import numpy as np
 from .errors import IdRangeError, IsolatedElementError, ParseError
 
 Edge = tuple[int, int]
-EdgeBlock = tuple[np.ndarray, np.ndarray]
+EdgeBlock = np.ndarray      # uint64 keys, (element id << 32) | set id
 
 MAX_ID = 2**32 - 1
+_ID_SPAN = MAX_ID + 1
 BLOCK_EDGES = 65_536
-_INT64_MAX = 2**63 - 1
+KEY_SHIFT = np.uint64(32)   # a key's element id is key >> KEY_SHIFT
+KEY_LOW = np.uint64(MAX_ID)     # and its set id key & KEY_LOW
 
-_BIN_EDGE = struct.Struct("<II")
-_NO_IDS = np.empty(0, dtype=np.int64)
+_KEY_BYTES = 8      # one binary record
+_NO_KEYS = np.empty(0, dtype=np.uint64)
 
 
 class SetSystem:
@@ -69,11 +80,17 @@ class SetSystem:
         """Masks from equal-length integer arrays (or lists): pair i sets bit
         positions[i] of masks[set_ids[i]]; repeats OR together.
 
-        The first out-of-range pair raises IdRangeError naming its position,
-        if outside [0, universe), else its set id, outside [0, n). The bits
-        are set in one n x ceil(universe / 8) uint8 table, the size of the masks.
+        A non-integer position, then a non-integer set id, raises
+        IdRangeError, never truncated. The first out-of-range pair raises
+        IdRangeError naming its position, if outside [0, universe), else its
+        set id, outside [0, n). The bits are set in one n x ceil(universe / 8)
+        uint8 table, the size of the masks.
         """
         pos, ids = np.asarray(positions), np.asarray(set_ids)
+        if pos.dtype.kind not in "iu":
+            pos = _integer_items(positions)
+        if ids.dtype.kind not in "iu":
+            ids = _integer_items(set_ids)
         bad = (pos < 0) | (pos >= universe) | (ids < 0) | (ids >= n)
         if bad.any():
             i = int(bad.argmax())
@@ -218,26 +235,27 @@ _POW10 = 10 ** np.arange(11, dtype=np.int64)
 
 
 def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
-    """Yield (set ids, element ids) blocks, C-contiguous int64 arrays, from an
-    edge stream.
+    """Yield blocks, C-contiguous uint64 key arrays, from an edge stream.
 
     Text: one 'set_id element_id' pair per line, '#' comment lines and blank
     lines skipped. LF or CRLF ends a line (a lone CR does not), and a str
     stream is read as its UTF-8 bytes. Binary: consecutive little-endian u32
-    pairs. Malformed input raises ParseError carrying the byte position,
-    after every block before it has been yielded.
+    (set id, element id) records, each read as one little-endian u64, which
+    is its key; a block is a read-only view of the bytes read. Malformed
+    input raises ParseError carrying the byte position, after every block
+    before it has been yielded.
     """
     if format == "text":
-        held = np.empty((0, 2), dtype=np.int64)
-        for pairs in _text_pairs(stream):
-            held = np.concatenate((held, pairs))
-            while len(held) >= BLOCK_EDGES:
-                yield _columns(held[:BLOCK_EDGES])
+        held = _NO_KEYS
+        for keys in _text_keys(stream):
+            held = np.concatenate((held, keys))
+            while held.size >= BLOCK_EDGES:
+                yield held[:BLOCK_EDGES]
                 held = held[BLOCK_EDGES:]
-        if len(held):
-            yield _columns(held)
+        if held.size:
+            yield held
     elif format == "binary":
-        size = BLOCK_EDGES * _BIN_EDGE.size
+        size = BLOCK_EDGES * _KEY_BYTES
         offset = 0
         pending = b""
         while True:
@@ -245,10 +263,9 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
             if not chunk:
                 break
             data = pending + chunk
-            usable = len(data) - (len(data) % _BIN_EDGE.size)
+            usable = len(data) - (len(data) % _KEY_BYTES)
             if usable:
-                yield _columns(np.frombuffer(data, dtype="<u4",
-                                             count=usable // 4).reshape(-1, 2))
+                yield np.frombuffer(data, dtype="<u8", count=usable // _KEY_BYTES)
             pending = data[usable:]
             offset += usable
         if pending:
@@ -258,18 +275,12 @@ def load_edge_blocks(stream: IO, format: str = "text") -> Iterator[EdgeBlock]:
         raise ValueError(f"unknown edge format {format!r}")
 
 
-def _columns(pairs: np.ndarray) -> EdgeBlock:
-    """An (edges, 2) array's columns as C-contiguous int64 arrays, so that
-    each pass over a block's set ids or element ids reads unit-stride memory."""
-    return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
-
-
-def _text_pairs(stream: IO) -> Iterator[np.ndarray]:
-    """A text stream's edges as (edges, 2) int64 arrays, one per
-    _TEXT_CHUNK bytes read and cut after the last LF. The first bad line
-    raises after the edges before it have been yielded. A line's fields are
-    its runs of bytes other than ' ', its LF and one CR before that; it is
-    skipped when it has no byte outside _SPACE or its first one is '#'.
+def _text_keys(stream: IO) -> Iterator[EdgeBlock]:
+    """A text stream's edges as key arrays, one per _TEXT_CHUNK bytes read
+    and cut after the last LF. The first bad line raises after the edges
+    before it have been yielded. A line's fields are its runs of bytes other
+    than ' ', its LF and one CR before that; it is skipped when it has no
+    byte outside _SPACE or its first one is '#'.
     """
     line_no, carry = 1, b""
     while True:
@@ -313,7 +324,8 @@ def _text_pairs(stream: IO) -> Iterator[np.ndarray]:
         bad_line[np.searchsorted(nl, np.flatnonzero(b >= 128))] = True
         bad_line[field_line[data_line[field_line] & (not_int | too_big)]] = True
         bad = int(np.argmax(np.append(bad_line, True)))
-        yield value[data_line[field_line] & (field_line < bad)].reshape(-1, 2)
+        pairs = value[data_line[field_line] & (field_line < bad)]
+        yield _pack(pairs[0::2], pairs[1::2])
         line_no += bad
         if bad == nl.size:
             continue
@@ -344,6 +356,16 @@ def load_edges(stream: IO, format: str = "text") -> Iterator[Edge]:
     return iter(EdgeStream(load_edge_blocks(stream, format)))
 
 
+def _integer_items(values) -> np.ndarray:
+    """`values` as an object array of integers; the first item that is not
+    an integer raises IdRangeError."""
+    items = np.asarray(values, dtype=object)
+    for x in items.flat:
+        if not isinstance(x, numbers.Integral):
+            raise IdRangeError(f"id {x!r} is not an integer")
+    return items
+
+
 def id_array(values) -> np.ndarray:
     """Ids as an integer array: numpy's own, or int64 when numpy reads
     integers as floats or objects (a mix of numpy and Python ints, or an
@@ -353,34 +375,77 @@ def id_array(values) -> np.ndarray:
     ids = np.asarray(values)
     if ids.dtype.kind in "iu":
         return ids
-    items = np.asarray(values, dtype=object)
-    for x in items.flat:
-        if not isinstance(x, numbers.Integral):
-            raise IdRangeError(f"id {x!r} is not an integer")
     try:
-        return items.astype(np.int64)
+        return _integer_items(values).astype(np.int64)
     except OverflowError:
         raise IdRangeError("an id exceeds the 64-bit range") from None
 
 
-def edge_blocks(edges: Iterable[Edge]) -> Iterator[EdgeBlock]:
-    """The edges as blocks: the source's own `blocks()` when it has one,
-    otherwise its (set_id, element_id) tuples batched BLOCK_EDGES at a time,
-    checked by `id_array`, and refused past the int64 range."""
+def _pack(set_ids: np.ndarray, element_ids: np.ndarray) -> EdgeBlock:
+    """The keys of two integer id arrays whose ids lie in [0, 2^32)."""
+    keys = element_ids.astype(np.uint64)
+    keys <<= KEY_SHIFT
+    keys |= set_ids.astype(np.uint64)
+    return keys
+
+
+def split_keys(keys: EdgeBlock) -> tuple[np.ndarray, np.ndarray]:
+    """A block's (set ids, element ids), as int64 arrays."""
+    return (keys & KEY_LOW).view(np.int64), (keys >> KEY_SHIFT).view(np.int64)
+
+
+def pack_keys(set_ids, element_ids, n: int = _ID_SPAN) -> EdgeBlock:
+    """The keys of two equal-length 1-d id arrays (or lists), checked by
+    `id_array`. The first pair with a set id outside [0, n), or else an
+    element id outside [0, 2^32), raises IdRangeError naming that id."""
+    u, v = id_array(set_ids), id_array(element_ids)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("a block is two 1-d arrays of equal length")
+    if u.size and (u.min() < 0 or u.max() >= n or v.min() < 0 or v.max() > MAX_ID):
+        bad_set = (u < 0) | (u >= n)
+        i = int(np.argmax(bad_set | (v < 0) | (v > MAX_ID)))
+        if bad_set[i]:
+            raise IdRangeError(f"set id {u[i]} outside [0, {n})")
+        if v[i] < 0:
+            raise IdRangeError(f"element id {v[i]} is negative")
+        raise IdRangeError(f"element id {v[i]} exceeds the 32-bit range")
+    return _pack(u, v)
+
+
+def _block_keys(block, n: int = _ID_SPAN) -> EdgeBlock:
+    """A source's block as keys: a 1-d uint64 key array as it is, or a
+    (set ids, element ids) pair checked and packed by `pack_keys`. A set id
+    outside [0, n) raises IdRangeError naming the first."""
+    if not (isinstance(block, np.ndarray) and block.dtype == np.uint64
+            and block.ndim == 1):
+        set_ids, element_ids = block
+        return pack_keys(set_ids, element_ids, n)
+    if n < _ID_SPAN and block.size:
+        u = block & KEY_LOW
+        if u.max() >= n:
+            raise IdRangeError(f"set id {u[np.argmax(u >= n)]} outside [0, {n})")
+    return block
+
+
+def edge_blocks(edges: Iterable[Edge], n: int = _ID_SPAN) -> Iterator[EdgeBlock]:
+    """The edges as key blocks: the source's own `blocks()` when it has one,
+    each a key array or a (set ids, element ids) pair, otherwise its
+    (set_id, element_id) tuples batched BLOCK_EDGES at a time. An id that is
+    not an integer, a set id outside [0, n) or an element id outside
+    [0, 2^32) raises IdRangeError (see `pack_keys`)."""
     blocks = getattr(edges, "blocks", None)
     if blocks is not None:
-        yield from blocks()
+        for block in blocks():
+            yield _block_keys(block, n)
         return
     it = iter(edges)
     while batch := list(itertools.islice(it, BLOCK_EDGES)):
         block = id_array(batch).reshape(-1, 2)
-        if block.dtype == np.uint64 and block.max() > _INT64_MAX:
-            raise IdRangeError(f"id {block.max()} exceeds the 64-bit range")
-        yield _columns(block)
+        yield pack_keys(block[:, 0], block[:, 1], n)
 
 
 class EdgeStream:
-    """One open of an edge source: its edges as int64 array blocks.
+    """One open of an edge source: its edges as key blocks.
 
     `blocks()` yields the blocks (see `load_edge_blocks`); iterating yields
     their flatten, the same edges as (set_id, element_id) tuples. A stream
@@ -393,17 +458,18 @@ class EdgeStream:
         self._blocks = blocks
 
     def __iter__(self) -> Iterator[Edge]:
-        for u, v in self._blocks:
+        for keys in map(_block_keys, self._blocks):
+            u, v = split_keys(keys)
             yield from zip(u.tolist(), v.tolist())
 
     def blocks(self) -> Iterator[EdgeBlock]:
         return iter(self._blocks)
 
 
-def _edge_arrays(edges: Iterable[Edge]) -> EdgeBlock:
-    """The whole stream as one (set ids, element ids) block."""
-    blocks = list(edge_blocks(edges)) or [(_NO_IDS, _NO_IDS)]
-    return tuple(np.concatenate(ids) for ids in zip(*blocks))
+def _edge_arrays(edges: Iterable[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    """The whole stream's (set ids, element ids), as int64 arrays."""
+    blocks = list(edge_blocks(edges))
+    return split_keys(np.concatenate(blocks) if blocks else _NO_KEYS)
 
 
 def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
@@ -420,22 +486,20 @@ def materialize_system(edges: Iterable[Edge], n: int) -> SetSystem:
 def write_edges_text(stream: IO, edges: Iterable[Edge]) -> int:
     """Write 'set_id element_id' lines a block at a time; returns the count."""
     count = 0
-    for u, v in edge_blocks(edges):
+    for keys in edge_blocks(edges):
+        u, v = split_keys(keys)
         stream.write("".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist())))
-        count += int(u.size)
+        count += int(keys.size)
     return count
 
 
 def write_edges_binary(stream: IO, edges: Iterable[Edge]) -> int:
-    """Write little-endian u32 pairs a block at a time; returns the count."""
+    """Write the keys, little-endian u64, so u32 (set id, element id)
+    records, a block at a time; returns the count."""
     count = 0
-    for u, v in edge_blocks(edges):
-        bad = (u < 0) | (u > MAX_ID) | (v < 0) | (v > MAX_ID)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise IdRangeError(f"edge ({u[i]}, {v[i]}) outside the 32-bit id range")
-        stream.write(np.column_stack((u, v)).astype("<u4").tobytes())
-        count += int(u.size)
+    for keys in edge_blocks(edges):
+        stream.write(keys.astype("<u8").tobytes())
+        count += int(keys.size)
     return count
 
 
@@ -476,7 +540,7 @@ def random_edge_blocks(n: int, m: int, p_e: float, seed: int
     rng = np.random.default_rng(seed)
     most = max(1, BLOCK_EDGES // n)     # rows per draw
     rows, elem, start = most, 0, 0
-    parts, sets, elems = [], _NO_IDS, _NO_IDS
+    parts, keys = [], _NO_KEYS
     while elem < m:
         count = min(rows, m - elem)
         state = rng.bit_generator.state if count > 1 else None
@@ -500,12 +564,11 @@ def random_edge_blocks(n: int, m: int, p_e: float, seed: int
         # rows still fill whole blocks; the remainder carries over.
         if (elem - start) * n >= 16 * BLOCK_EDGES or elem == m:
             e, s = np.nonzero(np.concatenate(parts))
-            sets = np.concatenate((sets, s))
-            elems = np.concatenate((elems, e + start))
-            full = sets.size if elem == m else sets.size - sets.size % BLOCK_EDGES
+            keys = np.concatenate((keys, _pack(s, e + start)))
+            full = keys.size if elem == m else keys.size - keys.size % BLOCK_EDGES
             for i in range(0, full, BLOCK_EDGES):
-                yield sets[i:i + BLOCK_EDGES], elems[i:i + BLOCK_EDGES]
-            sets, elems = sets[full:], elems[full:]
+                yield keys[i:i + BLOCK_EDGES]
+            keys = keys[full:]
             parts, start = [], elem
 
 

@@ -9,15 +9,16 @@ elements divided by that threshold estimate coverage on the full instance.
 Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
 that ingests the edge stream a block at a time (at most BLOCK_EDGES edges).
-The streaming builder's state is one ascending u64 key array,
-(element id << 32) | set id, in element-id order: each block's keys are
-merged in, each element keeps its degree_cap smallest set ids, and only the
-hash prefix of elements holding at most edge_budget + degree_cap edges is
-kept. It therefore holds at most edge_budget + degree_cap retained edges
-between blocks, plus one block in flight. The sketch is a pure function of
-(edge multiset, seed, params): whatever the arrival order or the block
-boundaries, it serializes to the same bytes as the offline sketch of the
-same edges.
+A block is the stream's own u64 keys, (element id << 32) | set id, as a
+binary edge file holds them (see `instance`). The streaming builder's state
+is one ascending array of the same keys, in element-id order: each block's
+keys are merged in as they are, each element keeps its degree_cap smallest
+set ids, and only the hash prefix of elements holding at most
+edge_budget + degree_cap edges is kept. It therefore holds at most
+edge_budget + degree_cap retained edges between blocks, plus one block of
+keys in flight. The sketch is a pure function of (edge multiset, seed,
+params): whatever the arrival order or the block boundaries, it serializes
+to the same bytes as the offline sketch of the same edges.
 
 Under one seed, sketches at smaller caps and budgets are re-capped hash
 prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
@@ -43,10 +44,10 @@ from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, IdRangeError, ParseError, StateError
+from .errors import ConfigError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
-from .instance import (MAX_ID, CoverageInstance, Edge, SetSystem, edge_blocks,
-                       id_array)
+from .instance import (KEY_LOW, KEY_SHIFT, MAX_ID, CoverageInstance, Edge,
+                       SetSystem, edge_blocks, pack_keys)
 
 _MAGIC = b"CVSK"
 _VERSION = 1
@@ -376,25 +377,23 @@ class BuilderStats:
         return asdict(self)
 
 
-_SHIFT = np.uint64(32)    # a builder key is (element id << _SHIFT) | set id
-_LOW = np.uint64(MAX_ID)
-
-
 class StreamingSketchBuilder:
     """Single-pass builder over (set_id, element_id) arrivals, a block at a time.
 
-    The state is one ascending u64 key array, (element id << 32) | set id,
-    holding each retained element's degree_cap smallest set ids seen so far.
-    For each block the builder range-checks the ids and, once an element has
-    been evicted, hashes the element ids and drops every arrival whose hash
-    is at or above the reject hash (the least hash evicted so far; an
-    evicted element is never re-admitted). It keys and sorts the survivors,
-    merges them into the state keys, drops duplicate keys, and keeps each
-    element's first degree_cap keys. When more than edge_budget + degree_cap
-    keys remain, it hashes the retained elements, cuts the longest hash
-    prefix of them holding at most that many keys, and evicts the elements
-    past it whole. Memory: at most edge_budget + degree_cap retained edges
-    between blocks; within a block, those plus the block's survivors.
+    A block is a key array, (element id << 32) | set id, taken as it is and
+    never written to; `edge_blocks` checks its set ids against n. The state
+    is one ascending array of such keys, holding each retained element's
+    degree_cap smallest set ids seen so far. Once an element has been
+    evicted, the builder hashes each run of a block's arrivals that share an
+    element id once and drops every arrival whose hash is at or above the
+    reject hash (the least hash evicted so far; an evicted element is never
+    re-admitted). It sorts the survivors, merges them into the state keys,
+    drops duplicate keys, and keeps each element's first degree_cap keys.
+    When more than edge_budget + degree_cap keys remain, it hashes the
+    retained elements, cuts the longest hash prefix of them holding at most
+    that many keys, and evicts the elements past it whole. Memory: at most
+    edge_budget + degree_cap retained edges between blocks; within a block,
+    those plus the block's keys and its survivors.
 
     An element's capped degree only grows as arrivals come in, so the cut
     only moves down the hash order, and the final state is a pure function
@@ -427,53 +426,40 @@ class StreamingSketchBuilder:
 
     def extend(self, edges: Iterable[Edge]) -> None:
         """All arrivals of an edge iterable, or of a source's `blocks()`."""
-        for set_ids, element_ids in edge_blocks(edges):
-            self.update_block(set_ids, element_ids)
+        for keys in edge_blocks(edges, self.params.n):
+            self._update(keys)
 
     def update_block(self, set_ids, element_ids) -> None:
         """Arrivals given as two equal-length integer arrays, in order.
 
-        `id_array` refuses non-integer ids; a set id outside [0, n), or an
-        element id outside [0, 2^32), raises IdRangeError naming the first.
+        `pack_keys` checks and packs them: a non-integer id, a set id outside
+        [0, n) or an element id outside [0, 2^32) raises IdRangeError.
         """
+        self._update(pack_keys(set_ids, element_ids, self.params.n))
+
+    def _update(self, keys) -> None:
+        """Arrivals given as a key array of set ids in [0, n), in order."""
         if self._finalized:
             raise StateError("update_block() after finalize()")
-        u, v = id_array(set_ids), id_array(element_ids)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("a block is two 1-d arrays of equal length")
-        if not u.size:
+        if not keys.size:
             return
-        self._check_ids(u, v)
-        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-        self.stats.seen_edges += int(v.size)
+        self.stats.seen_edges += int(keys.size)
         if self._reject is not None:
-            fresh = self._hasher.values(v) < self._reject
-            self.stats.dropped_on_sight += int(v.size - np.count_nonzero(fresh))
-            u, v = u[fresh], v[fresh]
-        if v.size:
-            self._admit(u, v)
+            _, hashes, runs = self._elements_of(keys)
+            fresh = np.repeat(hashes < self._reject, runs)
+            self.stats.dropped_on_sight += int(keys.size - np.count_nonzero(fresh))
+            keys = keys[fresh]
+        if keys.size:
+            self._admit(keys)
 
-    def _check_ids(self, u, v) -> None:
-        n = self.params.n
-        if u.min() >= 0 and u.max() < n and v.min() >= 0 and v.max() <= MAX_ID:
-            return
-        bad_set = (u < 0) | (u >= n)
-        i = int(np.argmax(bad_set | (v < 0) | (v > MAX_ID)))
-        if bad_set[i]:
-            raise IdRangeError(f"set id {u[i]} outside [0, {n})")
-        if v[i] < 0:
-            raise IdRangeError(f"element id {v[i]} is negative")
-        raise IdRangeError(f"element id {v[i]} exceeds the 32-bit range")
-
-    def _admit(self, u, v) -> None:
+    def _admit(self, key) -> None:
         """Merge the arrivals' keys into the state, keep each element's
         degree_cap smallest set ids, and cut the state to the budget."""
         cap = self.params.degree_cap
         limit = self.params.edge_budget + cap
-        key = v.view(np.uint64) << _SHIFT | u.view(np.uint64)
-        if (key[1:] < key[:-1]).any():
-            key.sort()
         keys = np.concatenate((self._keys, key))
+        if (key[1:] < key[:-1]).any():
+            keys[self._keys.size:].sort()
         keys.sort(kind="stable")        # a merge of the two ascending runs
         arrived = keys.size
         dup = keys[1:] == keys[:-1]
@@ -481,7 +467,7 @@ class StreamingSketchBuilder:
             keys = keys[np.concatenate(([True], ~dup))]
         # keys[i + cap] ranks cap or more within its element iff keys[i]
         # belongs to the same element, that is, their high words agree
-        over = (keys[cap:] ^ keys[:-cap]) <= _LOW
+        over = (keys[cap:] ^ keys[:-cap]) <= KEY_LOW
         if over.any():
             keys = keys[np.concatenate((np.ones(cap, dtype=bool), ~over))]
         self.stats.dropped_duplicate_or_cap += arrived - keys.size
@@ -498,9 +484,10 @@ class StreamingSketchBuilder:
         self._keys = keys
 
     def _elements_of(self, keys):
-        """The element ids of an ascending key array, with their hashes and
-        their numbers of keys."""
-        elements = keys >> _SHIFT
+        """The element id of each run of keys with one element id, with its
+        hash and the run's length; in an ascending key array, one run per
+        element."""
+        elements = keys >> KEY_SHIFT
         first = np.ones(elements.size, dtype=bool)
         np.not_equal(elements[1:], elements[:-1], out=first[1:])
         start = np.flatnonzero(first)
@@ -521,7 +508,7 @@ class StreamingSketchBuilder:
         # the element runs of the key array, taken in hash order
         moved = (ends - degrees)[order] - (np.cumsum(sorted_degrees) - sorted_degrees)
         at = np.arange(keys.size) + np.repeat(moved, sorted_degrees)
-        sets = (keys[at] & _LOW).view(np.int64)
+        sets = (keys[at] & KEY_LOW).view(np.int64)
         sk = _trimmed(self.params, self.seed, ids[order], hashes[order],
                       sorted_degrees, sets)
         self.stats.threshold = sk.threshold

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, GuardExceededError, IdRangeError, StateError
 from .hashing import derive_seed
 from .instance import (Edge, EdgeStream, SetSystem, edge_blocks,
-                       materialize_system)
+                       materialize_system, split_keys)
 from .sketch import (CoverageEstimate, Sketch, SketchParams, SubgraphView,
                      build_sketch_from_stream, estimate_coverage, recap_sketch)
 
@@ -433,19 +433,18 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
     passes = 0
 
     def checked_blocks():
-        for u, v in edge_blocks(src()):
-            if u.size and (u.min() < 0 or u.max() >= n
-                           or v.min() < 0 or v.max() >= m):
-                i = int(np.argmax((u < 0) | (u >= n) | (v < 0) | (v >= m)))
-                if not 0 <= u[i] < n:
+        for keys in edge_blocks(src()):
+            u, v = split_keys(keys)
+            if u.size and (u.max() >= n or v.max() >= m):
+                i = int(np.argmax((u >= n) | (v >= m)))
+                if u[i] >= n:
                     raise IdRangeError(f"set id {u[i]} outside [0, {n})")
                 raise IdRangeError(f"element id {v[i]} outside [0, {m})")
-            yield u, v
+            yield keys, u, v
 
     def residual_blocks():
-        for u, v in checked_blocks():
-            keep = ~covered[v]
-            yield u[keep], v[keep]
+        for keys, _, v in checked_blocks():
+            yield keys[~covered[v]]
 
     for i in range(1, r):
         opts = OutlierParams.derive(eps=eps, lam=params.lam,
@@ -457,7 +456,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
         passes += 1
         before = covered.copy()
         uncovered = np.zeros(m, dtype=bool)
-        for u, v in checked_blocks():
+        for _, u, v in checked_blocks():
             fresh = ~before[v]
             uncovered[v[fresh]] = True
             covered[v[fresh & np.isin(u, picks)]] = True

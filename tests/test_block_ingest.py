@@ -9,6 +9,10 @@ which nothing evicted comes back. It writes its sketch in the version-1
 file format itself, one `struct` record at a time, so the format is pinned
 by a writer that shares nothing with `save_sketch`. The block builder must
 serialize to the same bytes whatever the block size.
+
+A block is the stream's own u64 keys, (element id << 32) | set id: the
+bytes of a binary edge file, read-only. The last test pins that encoding
+and feeds such read-only blocks to every consumer.
 """
 
 import heapq
@@ -17,13 +21,20 @@ import random
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covsketch import (ElementHasher, SketchParams, StreamingSketchBuilder,
-                       random_edge_stream, save_sketch)
+from covsketch import (CoverageInstance, ElementHasher, EdgeStream, SketchParams,
+                       StreamingSketchBuilder, build_per_set_sketches,
+                       build_sketch_from_stream, instance, random_edge_stream,
+                       save_sketch, setcover_multipass, write_edges_binary,
+                       write_edges_text)
+from covsketch.errors import IdRangeError
+from covsketch.harness import recount_coverage, scan_shape
 from covsketch.hashing import unit_from_u64
-from covsketch.instance import BLOCK_EDGES
+from covsketch.instance import (BLOCK_EDGES, MAX_ID, edge_blocks,
+                                load_edge_blocks, materialize_system)
 
 
 def scalar_sketch(edges, params, seed):
@@ -145,3 +156,71 @@ def test_vector_hash_of_a_large_random_batch():
     hasher = ElementHasher(12345)
     assert hasher.values(np.array(ids, dtype=np.uint32)).tolist() == \
         [hasher.value(e) for e in ids]
+
+
+_IDS = st.integers(0, 9) | st.integers(0, MAX_ID)
+_BAD_IDS = st.integers(-2 ** 40, -1) | st.integers(MAX_ID + 1, 2 ** 40)
+
+
+def _consumers(n, m):
+    """Each consumer of an edge source (a callable returning a fresh edge
+    iterable) that applies to ids below n and m, by name."""
+    out = {"shape": lambda src: scan_shape(src()),
+           "recount": lambda src: recount_coverage(src(), [0, 3, MAX_ID])}
+    if n <= 10:
+        params = SketchParams.custom(n=n, k=1, eps=0.2, degree_cap=2,
+                                     edge_budget=5)
+        out["sketch"] = lambda src: _bytes(build_sketch_from_stream(src(), params, 7))
+        out["system"] = lambda src: materialize_system(src(), n)
+        out["bank"] = lambda src: [sk.mins for sk in
+                                   build_per_set_sketches(src(), n, 3, seed=7)]
+    if n <= 10 and m <= 10:
+        out["instance"] = lambda src: CoverageInstance.from_edges(
+            n, m, src(), attach_isolated_seed=1)
+        # m = 60 admits r = 2, so one outlier pass runs before the last one
+        out["cover"] = lambda src: setcover_multipass(src, n, 60, 2, 0.5, 3).chosen
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(_IDS, _IDS), max_size=40),
+       st.sampled_from([3, BLOCK_EDGES]), st.data())
+def test_one_key_encoding_from_file_to_every_consumer(edges, block_edges, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance, "BLOCK_EDGES", block_edges)
+        keys = list(edge_blocks(edges))
+        assert [k for block in keys for k in block.tolist()] == \
+            [v << 32 | u for u, v in edges]
+        binary = io.BytesIO()
+        assert write_edges_binary(binary, edges) == len(edges)
+        assert binary.getvalue() == b"".join(block.tobytes() for block in keys)
+        text = io.StringIO()
+        write_edges_text(text, edges)
+        for raw, fmt in ((binary.getvalue(), "binary"),
+                         (text.getvalue().encode(), "text")):
+            loaded = list(load_edge_blocks(io.BytesIO(raw), fmt))
+            assert [b.tolist() for b in loaded] == [b.tolist() for b in keys]
+
+        def read_only():
+            for block in load_edge_blocks(io.BytesIO(binary.getvalue()), "binary"):
+                assert not block.flags.writeable
+                yield block
+
+        n = 1 + max((u for u, _ in edges), default=0)
+        m = 1 + max((v for _, v in edges), default=0)
+        assert list(EdgeStream(read_only())) == edges
+        for name, consume in _consumers(n, m).items():
+            assert consume(lambda: EdgeStream(read_only())) == \
+                consume(lambda: edges), name
+
+        bad = data.draw(_BAD_IDS)
+        spoiled = list(edges)
+        spoiled.insert(data.draw(st.integers(0, len(edges))),
+                       data.draw(st.sampled_from([(bad, 0), (0, bad)])))
+        with pytest.raises(IdRangeError):
+            write_edges_binary(io.BytesIO(), spoiled)
+        with pytest.raises(IdRangeError):
+            list(EdgeStream(edge_blocks(spoiled)))
+        for name, consume in _consumers(n, m).items():
+            with pytest.raises(IdRangeError):
+                consume(lambda: spoiled)

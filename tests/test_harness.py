@@ -14,7 +14,7 @@ from covsketch.harness import (EVAL_CSV_HEADER, FileEdgeSource, GenEdgeSource,
                                OnceEdgeSource, PhaseTimer, RunReport,
                                emit_report, parse_gen_spec, recount_coverage,
                                scan_shape, solution_json)
-from covsketch.instance import materialize_system
+from covsketch.instance import materialize_system, split_keys
 
 
 def test_eval_csv_header_is_pinned():
@@ -109,7 +109,8 @@ def test_file_edge_source_streams_tuples_or_blocks(tmp_path):
     edges = list(src())
     assert edges == list(inst.edges_by_element())
     blocks = list(src().blocks())
-    assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+    assert [e for keys in blocks
+            for e in zip(*(ids.tolist() for ids in split_keys(keys)))] == edges
     assert src.opens == 2
     assert recount_coverage(src(), [1, 3]) == recount_coverage(edges, [1, 3])
     assert scan_shape(src()) == scan_shape(edges)
@@ -163,14 +164,19 @@ class _Blocked:
 
 @st.composite
 def recount_cases(draw):
-    # set ids straddle the chosen ids' span on both sides, and some are negative
-    edges = draw(st.lists(st.tuples(st.integers(-12, 30),
+    # set ids straddle the chosen ids' span on both sides, chosen ids may be
+    # negative, and a negative set id in the stream is refused
+    edges = draw(st.lists(st.tuples(st.integers(0, 30),
                                     st.integers(0, 40) | st.integers(0, 2 ** 32 - 1)),
                           max_size=150))
     edges += draw(st.lists(st.sampled_from(edges), max_size=40)) if edges else []
     streamed = st.sampled_from([u for u, _ in edges] or [0])
     chosen = draw(st.lists(st.integers(-6, 20) | streamed, max_size=8))
-    return draw(st.permutations(edges)), chosen + chosen[:2]
+    edges = draw(st.permutations(edges))
+    for bad in draw(st.lists(st.tuples(st.integers(-12, -1), st.integers(0, 40)),
+                             max_size=1)):
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return edges, chosen + chosen[:2]
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,9 +186,13 @@ def test_recount_coverage_matches_a_set_reference(case):
     edges, chosen = case
     picks = set(chosen)
     want = (len({v for u, v in edges if u in picks}), len({v for _, v in edges}))
-    for size in (1, 7, BLOCK_EDGES):
-        assert recount_coverage(_Blocked(edges, size), chosen) == want
-    assert recount_coverage(edges, chosen) == want
+    sources = [_Blocked(edges, size) for size in (1, 7, BLOCK_EDGES)] + [edges]
+    for source in sources:
+        if any(u < 0 for u, _ in edges):
+            with pytest.raises(IdRangeError, match="set id -"):
+                recount_coverage(source, chosen)
+        else:
+            assert recount_coverage(source, chosen) == want
 
 
 def test_materialize_system_popcounts():

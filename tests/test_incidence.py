@@ -25,7 +25,7 @@ from covsketch import (CoverageInstance, EdgeStream, SketchParams,
 from covsketch.errors import IdRangeError, IsolatedElementError
 from covsketch.hashing import ElementHasher, unit_from_u64
 from covsketch.instance import (BLOCK_EDGES, SetSystem, materialize_system,
-                                random_edge_blocks)
+                                random_edge_blocks, split_keys)
 from covsketch.solvers import as_set_system
 
 
@@ -290,9 +290,10 @@ def test_random_edges_match_element_at_a_time_reference(n, m, p_e, seed):
 def test_random_edge_blocks_are_full_and_match_reference_across_blocks():
     n, m, p_e, seed = 3, 40_000, 0.6, 21
     blocks = list(random_edge_blocks(n, m, p_e, seed))
-    sizes = [u.size for u, _ in blocks]
+    sizes = [keys.size for keys in blocks]
     assert len(sizes) > 1 and all(s == BLOCK_EDGES for s in sizes[:-1])
-    flat = [e for u, v in blocks for e in zip(u.tolist(), v.tolist())]
+    flat = [e for keys in blocks
+            for e in zip(*(ids.tolist() for ids in split_keys(keys)))]
     assert flat == list(_reference_random_edges(n, m, p_e, seed))
 
 

@@ -14,8 +14,9 @@ from covsketch import (CoverageInstance, brute_force_kcover, brute_force_setcove
                        write_edges_binary, write_edges_text, write_metadata)
 from covsketch.errors import (IdRangeError, IsolatedElementError, ParseError)
 from covsketch import instance
-from covsketch.instance import (BLOCK_EDGES, MAX_ID, edge_blocks,
-                                load_edge_blocks)
+from covsketch.instance import (BLOCK_EDGES, MAX_ID, EdgeStream, SetSystem,
+                                edge_blocks, load_edge_blocks,
+                                random_edge_blocks, split_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -144,16 +145,16 @@ def _reference_blocks(stream):
 
 
 def _pairs_block(batch):
-    block = np.array(batch, dtype=np.int64).reshape(-1, 2)
-    return block[:, 0], block[:, 1]
+    """A batch of edges as a key block, (element id << 32) | set id."""
+    return np.array([v << 32 | u for u, v in batch], dtype=np.uint64)
 
 
 def _outcome(blocks):
     """The blocks a parser yields, then its error as comparable fields."""
     out = []
     try:
-        for u, v in blocks:
-            out.append((u.size, u.dtype, v.dtype, u.tolist(), v.tolist()))
+        for keys in blocks:
+            out.append((keys.size, keys.dtype, keys.tolist()))
     except (ParseError, IdRangeError) as exc:
         return out, (type(exc), str(exc), getattr(exc, "line", None),
                      getattr(exc, "offset", None))
@@ -270,12 +271,18 @@ def _binary(edges):
     return buf.getvalue()
 
 
+def _flat(blocks):
+    """The (set id, element id) edges of key blocks, in order."""
+    return [e for keys in blocks
+            for e in zip(*(ids.tolist() for ids in split_keys(keys)))]
+
+
 def test_binary_blocks_are_bounded_and_flatten_to_load_edges():
     edges = [(e % 7, e) for e in range(2 * BLOCK_EDGES + 3)]
     blocks = list(load_edge_blocks(io.BytesIO(_binary(edges)), "binary"))
-    assert [u.size for u, _ in blocks] == [BLOCK_EDGES, BLOCK_EDGES, 3]
-    assert all(u.dtype == v.dtype == "int64" for u, v in blocks)
-    assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+    assert [keys.size for keys in blocks] == [BLOCK_EDGES, BLOCK_EDGES, 3]
+    assert all(keys.dtype == np.uint64 for keys in blocks)
+    assert _flat(blocks) == edges
     assert list(load_edges(io.BytesIO(_binary(edges)), "binary")) == edges
 
 
@@ -295,8 +302,8 @@ def test_binary_truncation_offset_after_full_blocks():
     edges = [(0, e) for e in range(BLOCK_EDGES + 1)]
     stream = io.BytesIO(_binary(edges) + b"\x01\x02\x03")
     blocks = load_edge_blocks(stream, "binary")
-    assert next(blocks)[0].size == BLOCK_EDGES
-    assert next(blocks)[0].size == 1
+    assert next(blocks).size == BLOCK_EDGES
+    assert next(blocks).size == 1
     with pytest.raises(ParseError, match="3 trailing") as err:
         next(blocks)
     assert err.value.offset == 8 * (BLOCK_EDGES + 1)
@@ -311,23 +318,37 @@ def test_text_blocks_keep_line_numbers_in_errors():
 
 def test_edge_blocks_batch_tuples_and_reject_huge_ids():
     edges = [(1, e) for e in range(BLOCK_EDGES + 2)]
-    assert [u.size for u, _ in edge_blocks(edges)] == [BLOCK_EDGES, 2]
+    assert [keys.size for keys in edge_blocks(edges)] == [BLOCK_EDGES, 2]
     assert list(edge_blocks([])) == []
     with pytest.raises(IdRangeError):
         list(edge_blocks([(0, 2**70)]))
 
 
-def test_every_block_source_yields_contiguous_int64_columns():
+def test_every_block_source_yields_contiguous_uint64_keys():
     edges = [(e % 7, e) for e in range(BLOCK_EDGES + 3)]
     text = "".join(f"{u} {v}\n" for u, v in edges).encode()
     for blocks in (load_edge_blocks(io.BytesIO(_binary(edges)), "binary"),
                    load_edge_blocks(io.BytesIO(text), "text"),
                    edge_blocks(edges)):
         blocks = list(blocks)
-        assert [u.size for u, _ in blocks] == [BLOCK_EDGES, 3]
-        for column in itertools.chain.from_iterable(blocks):
-            assert column.dtype == np.int64 and column.flags.c_contiguous
-        assert [e for u, v in blocks for e in zip(u.tolist(), v.tolist())] == edges
+        assert [keys.size for keys in blocks] == [BLOCK_EDGES, 3]
+        for keys in blocks:
+            assert keys.dtype == np.uint64 and keys.ndim == 1
+            assert keys.flags.c_contiguous
+        assert blocks[1].tolist() == [v << 32 | u for u, v in edges[-3:]]
+        assert _flat(blocks) == edges
+    generated = list(random_edge_blocks(3, 40_000, 0.6, seed=21))
+    assert all(keys.dtype == np.uint64 and keys.flags.c_contiguous
+               for keys in generated)
+
+
+def test_binary_blocks_are_read_only_views_of_the_records():
+    edges = [(1, 2), (MAX_ID, 0), (0, MAX_ID)]
+    data = _binary(edges)
+    assert data == b"".join(np.array([u, v], "<u4").tobytes() for u, v in edges)
+    (keys,) = load_edge_blocks(io.BytesIO(data), "binary")
+    assert not keys.flags.writeable
+    assert keys.tolist() == [v << 32 | u for u, v in edges]
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +412,33 @@ def test_from_edges_refuses_ids_it_would_truncate_or_wrap():
     # numpy reads a mix of numpy and Python ints as floats; still ints here
     mixed = [(np.uint64(0), 0), (1, np.uint64(1))]
     assert CoverageInstance.from_edges(2, 2, mixed).masks == (1, 2)
+
+
+def test_source_blocks_of_floats_are_refused_not_truncated():
+    # a source's own float blocks reached from_edges unchecked: this reported
+    # "3 isolated element(s)", and with an attachment seed built masks
+    floats = (np.array([0.5, 1.0, 0.0]), np.array([0.9, 1.2, 2.7]))
+    for seed in (None, 4):
+        with pytest.raises(IdRangeError, match="id 0.5 is not an integer"):
+            CoverageInstance.from_edges(2, 3, EdgeStream([floats]),
+                                        attach_isolated_seed=seed)
+    with pytest.raises(IdRangeError, match="id 2.5 is not an integer"):
+        list(edge_blocks(EdgeStream([([0, 1], np.array([2.5, 0]))])))
+    pairs = EdgeStream([(np.array([1, 0]), np.array([2, 0], dtype=np.uint32))])
+    assert CoverageInstance.from_edges(2, 3, pairs, attach_isolated_seed=4) \
+        == CoverageInstance.from_edges(2, 3, [(1, 2), (0, 0)], attach_isolated_seed=4)
+
+
+def test_from_incidence_refuses_non_integer_ids():
+    # these were truncated: masks (4, 1)
+    with pytest.raises(IdRangeError, match="id 0.9 is not an integer"):
+        SetSystem.from_incidence(2, 3, [0.9, 2.5], [1, 0])
+    with pytest.raises(IdRangeError, match="id 1.0 is not an integer"):
+        SetSystem.from_incidence(2, 3, [0, 2], np.array([1.0, 0.0]))
+    assert SetSystem.from_incidence(2, 3, [], []).masks == (0, 0)
+    assert SetSystem.from_incidence(2, 3, [np.uint64(0), 2], [1, 0]).masks == (4, 1)
+    with pytest.raises(IdRangeError, match=f"element id {2 ** 70} outside"):
+        SetSystem.from_incidence(2, 3, [0, 2 ** 70], [1, 0])
 
 
 def test_from_edges_isolated_elements():

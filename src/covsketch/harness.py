@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
 # load_edges is unused here; perfbench/layers.py patches it in --trace 1 runs
-from .instance import (KEY_LOW, KEY_SHIFT, Edge, EdgeStream, edge_blocks,
+from .instance import (KEY_LOW, Edge, EdgeStream, KeyRuns, edge_blocks,
                        gen_disjointness, gen_planted_cover, load_edge_blocks,
                        load_edges, random_edge_blocks, read_metadata,
                        split_keys)
@@ -73,11 +73,11 @@ class FileEdgeSource(EdgeSourceBase):
         self.path = path
         self.fmt = fmt
         self.label = path
-        self._meta = None
         try:
-            self._meta = read_metadata(path + ".meta.json")
+            meta = read_metadata(path + ".meta.json")
+            self._shape = (meta["n"], meta["m"])
         except FileNotFoundError:
-            pass
+            self._shape = (None, None)
 
     def _open(self):
         return EdgeStream(self._read())
@@ -88,9 +88,7 @@ class FileEdgeSource(EdgeSourceBase):
             yield from load_edge_blocks(fp, self.fmt)
 
     def shape(self):
-        if self._meta:
-            return (self._meta["n"], self._meta["m"])
-        return (None, None)
+        return self._shape
 
 
 class GenEdgeSource(EdgeSourceBase):
@@ -210,59 +208,22 @@ def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
     """(covered, universe) distinct-element counts from one stream pass.
 
     A boolean table over the span of the chosen ids, looked up by each key's
-    set id, finds the covering arrivals. Each count's distinct ids are sorted
-    runs (see `_Runs`), which hold at most about twice the distinct ids, plus
-    one block.
+    set id, finds the covering arrivals. Each count is a `KeyRuns(1)` of
+    keys, one per distinct element, over every key or the covering ones: at
+    most about twice the distinct elements, plus one block.
     """
     picks = np.array(sorted(set(chosen)), dtype=np.int64)
-    covered, universe = _Runs(), _Runs()
+    covered, universe = KeyRuns(1), KeyRuns(1)
     if picks.size:
         below = int(picks[0]) - 1       # table[0] and table[-1] are the misses
         table = np.zeros(int(picks[-1]) - below + 2, dtype=bool)
         table[picks - below] = True
     for keys in edge_blocks(edges):
-        v = keys >> KEY_SHIFT
-        universe.add(v)
+        universe.add(keys)
         if picks.size:
             hit = table.take((keys & KEY_LOW).view(np.int64) - below, mode="clip")
-            covered.add(v[hit])
-    return (covered.count(), universe.count())
-
-
-class _Runs:
-    """Distinct ids as sorted runs, merged like a binary counter.
-
-    Each added block is de-duplicated into a run, and a run is merged into
-    the one before it until it is at most half that one's size. So the runs
-    hold at most twice the largest, and each id is merged O(log blocks) times.
-    """
-
-    def __init__(self):
-        self.runs: list[np.ndarray] = []
-
-    def add(self, ids: np.ndarray) -> None:
-        if not ids.size:
-            return
-        run = _distinct(ids if (ids[1:] >= ids[:-1]).all() else np.sort(ids))
-        while self.runs and 2 * run.size > self.runs[-1].size:
-            run = _union(self.runs.pop(), run)
-        self.runs.append(run)
-
-    def count(self) -> int:
-        return _union(*self.runs).size if self.runs else 0
-
-
-def _union(*runs: np.ndarray) -> np.ndarray:
-    """The sorted distinct ids of sorted runs."""
-    return _distinct(np.sort(np.concatenate(runs), kind="stable"))  # a merge
-
-
-def _distinct(ids: np.ndarray) -> np.ndarray:
-    """The distinct ids of a sorted array."""
-    keep = np.empty(ids.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
+            covered.add(keys[hit])
+    return (covered.merged().size, universe.merged().size)
 
 
 class PhaseTimer:

@@ -394,6 +394,54 @@ def split_keys(keys: EdgeBlock) -> tuple[np.ndarray, np.ndarray]:
     return (keys & KEY_LOW).view(np.int64), (keys >> KEY_SHIFT).view(np.int64)
 
 
+class KeyRuns:
+    """Keys in which each element keeps its `cap` smallest set ids (of a
+    union, those lie within each part's), held as ascending runs merged like
+    a binary counter: each is at most half the one before it, so each key is
+    merged O(log N) times. A block is never written to. `size` sums the run
+    sizes, an upper bound on the keys held; `merged()` makes the runs one."""
+
+    __slots__ = ("cap", "runs")
+
+    def __init__(self, cap: int):
+        self.cap, self.runs = cap, []
+
+    @property
+    def size(self) -> int:
+        return sum(run.size for run in self.runs)
+
+    def add(self, keys: EdgeBlock) -> None:
+        if keys.size:
+            run = self._merge(keys if (keys[1:] >= keys[:-1]).all() else np.sort(keys))
+            while self.runs and 2 * run.size > self.runs[-1].size:
+                run = self._merge(self.runs.pop(), run)
+            self.runs.append(run)
+
+    def merged(self) -> EdgeBlock:
+        if len(self.runs) > 1:
+            self.runs = [self._merge(*self.runs)]
+        return self.runs[0] if self.runs else _NO_KEYS
+
+    def _merge(self, *runs: EdgeBlock) -> EdgeBlock:
+        """Ascending runs as one, without repeats, each element's first `cap`."""
+        keys = runs[0]
+        if len(runs) > 1:
+            keys = np.concatenate(runs)
+            keys.sort(kind="stable")        # a merge of the ascending runs
+        cap, keep = self.cap, np.empty(keys.size, dtype=bool)
+        if cap > 1:     # at cap 1 the cap step drops repeats too
+            keep[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            if not keep.all():
+                keys = keys[keep]
+                keep = keep[:keys.size]
+        # keys[i + cap] ranks cap or more within its element iff keys[i]
+        # belongs to the same element, that is, their high words agree
+        keep[:cap] = True
+        np.greater(keys[cap:] ^ keys[:-cap], KEY_LOW, out=keep[cap:])
+        return keys if keep.all() else keys[keep]
+
+
 def pack_keys(set_ids, element_ids, n: int = _ID_SPAN) -> EdgeBlock:
     """The keys of two equal-length 1-d id arrays (or lists), checked by
     `id_array`. The first pair with a set id outside [0, n), or else an
@@ -510,11 +558,21 @@ def write_metadata(path, n: int, m: int, edge_count: int) -> None:
 
 
 def read_metadata(path) -> dict:
+    """A sidecar's {"n", "m", "edge_count"}. Bad JSON, a value that is not an
+    object, or a key missing or not a non-negative int raises ParseError."""
     with open(path, encoding="ascii") as fp:
-        meta = json.load(fp)
+        try:
+            meta = json.load(fp)
+        except ValueError as exc:       # not JSON, or not ASCII
+            raise ParseError(f"metadata is not ASCII JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(f"metadata is a JSON {type(meta).__name__}, not an object")
     for key in ("n", "m", "edge_count"):
         if key not in meta:
             raise ParseError(f"metadata missing key {key!r}")
+        if type(meta[key]) is not int or meta[key] < 0:     # bool is no int here
+            raise ParseError(f"metadata key {key!r} must be a non-negative "
+                             f"int, got {meta[key]!r}")
     return meta
 
 

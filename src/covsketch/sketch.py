@@ -10,15 +10,15 @@ Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
 that ingests the edge stream a block at a time (at most BLOCK_EDGES edges).
 A block is the stream's own u64 keys, (element id << 32) | set id, as a
-binary edge file holds them (see `instance`). The streaming builder's state
-is one ascending array of the same keys, in element-id order: each block's
-keys are merged in as they are, each element keeps its degree_cap smallest
-set ids, and only the hash prefix of elements holding at most
-edge_budget + degree_cap edges is kept. It therefore holds at most
-edge_budget + degree_cap retained edges between blocks, plus one block of
-keys in flight. The sketch is a pure function of (edge multiset, seed,
-params): whatever the arrival order or the block boundaries, it serializes
-to the same bytes as the offline sketch of the same edges.
+binary edge file holds them (see `instance`). The streaming builder holds
+them as sorted runs (`KeyRuns`), each element keeping its degree_cap
+smallest set ids, and merges and cuts them to the hash prefix of elements
+holding at most edge_budget + degree_cap edges only when they may hold
+more. So it holds at most that many keys between blocks, plus one block in
+flight, and a build whose budget never binds costs O(N log N). The sketch
+is a pure function of (edge multiset, seed, params): whatever the arrival
+order or the block boundaries, it serializes to the same bytes as the
+offline sketch of the same edges.
 
 Under one seed, sketches at smaller caps and budgets are re-capped hash
 prefixes of a larger one: `recap_sketch` reads them off a base sketch, so
@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConfigError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
 from .instance import (KEY_LOW, KEY_SHIFT, MAX_ID, CoverageInstance, Edge,
-                       SetSystem, edge_blocks, pack_keys)
+                       KeyRuns, SetSystem, edge_blocks, pack_keys)
 
 _MAGIC = b"CVSK"
 _VERSION = 1
@@ -360,9 +360,9 @@ class BuilderStats:
     or above the reject hash), dropped as a duplicate or by the degree cap,
     or admitted. An admitted edge leaves again either with its whole evicted
     element (evicted_edges) or displaced by a smaller set id of the same
-    element, which counts in dropped_duplicate_or_cap. finalize sets
-    threshold, and budget_bound (the edge budget bound, so the threshold is
-    below 1).
+    element, which counts in dropped_duplicate_or_cap when runs merge, the
+    last ones in finalize. finalize sets threshold, and budget_bound (the
+    edge budget bound, so the threshold is below 1).
     """
 
     seen_edges: int = 0
@@ -382,29 +382,27 @@ class StreamingSketchBuilder:
 
     A block is a key array, (element id << 32) | set id, taken as it is and
     never written to; `edge_blocks` checks its set ids against n. The state
-    is one ascending array of such keys, holding each retained element's
-    degree_cap smallest set ids seen so far. Once an element has been
+    is a `KeyRuns(degree_cap)` of such keys. Once an element has been
     evicted, the builder hashes each run of a block's arrivals that share an
     element id once and drops every arrival whose hash is at or above the
     reject hash (the least hash evicted so far; an evicted element is never
-    re-admitted). It sorts the survivors, merges them into the state keys,
-    drops duplicate keys, and keeps each element's first degree_cap keys.
-    When more than edge_budget + degree_cap keys remain, it hashes the
-    retained elements, cuts the longest hash prefix of them holding at most
-    that many keys, and evicts the elements past it whole. Memory: at most
-    edge_budget + degree_cap retained edges between blocks; within a block,
-    those plus the block's keys and its survivors.
+    re-admitted). It adds the survivors to the runs. Only when the run sizes
+    (retained_edge_count, a key in two runs counted twice) sum past
+    edge_budget + degree_cap does it merge them; if more than that many keys
+    remain, it hashes the retained elements, cuts the longest hash prefix of
+    them holding at most that many keys, and evicts the elements past it
+    whole. Memory: at most edge_budget + degree_cap keys between blocks;
+    within a block, those plus the block's keys and its survivors.
 
     An element's capped degree only grows as arrivals come in, so the cut
     only moves down the hash order, and the final state is a pure function
-    of the edge multiset, the seed and the params: it does not depend on the
-    arrival order or on where block boundaries fall, and finalize returns
-    what `build_sketch_offline` builds from the same edges. finalize
-    releases the key array, so retained_edge_count reads 0 after it; the
-    sketch's edge_total is the retained count.
+    of the edge multiset, the seed and the params, whatever the arrival
+    order or the block boundaries: finalize returns what
+    `build_sketch_offline` builds from the same edges. finalize merges and
+    releases the runs, so retained_edge_count then reads 0.
     """
 
-    __slots__ = ("params", "seed", "stats", "_hasher", "_keys", "_reject",
+    __slots__ = ("params", "seed", "stats", "_hasher", "_runs", "_reject",
                  "_finalized")
 
     def __init__(self, params: SketchParams, seed: int):
@@ -412,13 +410,13 @@ class StreamingSketchBuilder:
         self.seed = seed
         self.stats = BuilderStats()
         self._hasher = ElementHasher(seed)
-        self._keys = np.empty(0, dtype=np.uint64)
+        self._runs = KeyRuns(params.degree_cap)
         self._reject: np.uint64 | None = None
         self._finalized = False
 
     @property
     def retained_edge_count(self) -> int:
-        return int(self._keys.size)
+        return self._runs.size
 
     @property
     def seen_edge_count(self) -> int:
@@ -441,37 +439,20 @@ class StreamingSketchBuilder:
         """Arrivals given as a key array of set ids in [0, n), in order."""
         if self._finalized:
             raise StateError("update_block() after finalize()")
-        if not keys.size:
-            return
+        state = self._runs
         self.stats.seen_edges += int(keys.size)
         if self._reject is not None:
             _, hashes, runs = self._elements_of(keys)
             fresh = np.repeat(hashes < self._reject, runs)
             self.stats.dropped_on_sight += int(keys.size - np.count_nonzero(fresh))
             keys = keys[fresh]
-        if keys.size:
-            self._admit(keys)
-
-    def _admit(self, key) -> None:
-        """Merge the arrivals' keys into the state, keep each element's
-        degree_cap smallest set ids, and cut the state to the budget."""
-        cap = self.params.degree_cap
-        limit = self.params.edge_budget + cap
-        keys = np.concatenate((self._keys, key))
-        if (key[1:] < key[:-1]).any():
-            keys[self._keys.size:].sort()
-        keys.sort(kind="stable")        # a merge of the two ascending runs
-        arrived = keys.size
-        dup = keys[1:] == keys[:-1]
-        if dup.any():
-            keys = keys[np.concatenate(([True], ~dup))]
-        # keys[i + cap] ranks cap or more within its element iff keys[i]
-        # belongs to the same element, that is, their high words agree
-        over = (keys[cap:] ^ keys[:-cap]) <= KEY_LOW
-        if over.any():
-            keys = keys[np.concatenate((np.ones(cap, dtype=bool), ~over))]
-        self.stats.dropped_duplicate_or_cap += arrived - keys.size
-        if keys.size > limit:
+        limit = self.params.edge_budget + self.params.degree_cap
+        held = state.size + keys.size
+        state.add(keys)
+        if state.size > limit:
+            keys = state.merged()
+        self.stats.dropped_duplicate_or_cap += held - state.size
+        if state.size > limit:
             ids, hashes, degrees = self._elements_of(keys)
             by_hash = np.argsort(hashes)
             ends = np.cumsum(degrees[by_hash])
@@ -480,8 +461,7 @@ class StreamingSketchBuilder:
             stay = hashes < self._reject
             self.stats.evicted_elements += int(ids.size - np.count_nonzero(stay))
             self.stats.evicted_edges += int(keys.size - ends[cut - 1])
-            keys = keys[np.repeat(stay, degrees)]
-        self._keys = keys
+            state.runs = [keys[np.repeat(stay, degrees)]]
 
     def _elements_of(self, keys):
         """The element id of each run of keys with one element id, with its
@@ -495,12 +475,14 @@ class StreamingSketchBuilder:
         return ids, self._hasher.values(ids), np.diff(np.append(start, elements.size))
 
     def finalize(self) -> Sketch:
-        """Order the elements by hash, trim to the minimal prefix meeting
-        edge_budget, and freeze; the key array is released."""
+        """Merge the runs, order the elements by hash, trim to the minimal
+        prefix meeting edge_budget, and freeze; the runs are released."""
         if self._finalized:
             raise StateError("finalize() called twice")
         self._finalized = True
-        keys, self._keys = self._keys, np.empty(0, dtype=np.uint64)
+        held, keys = self._runs.size, self._runs.merged()
+        self._runs = KeyRuns(self.params.degree_cap)
+        self.stats.dropped_duplicate_or_cap += held - keys.size
         ids, hashes, degrees = self._elements_of(keys)
         order = np.argsort(hashes)
         ends = np.cumsum(degrees)

@@ -206,7 +206,7 @@ class OutlierParams:
             raise ConfigError(f"eps must lie in (0, 1], got {eps}")
         if not 0.0 < lam <= 1.0 / math.e:
             raise ConfigError(f"lambda must lie in (0, 1/e], got {lam}")
-        if c < 1.0:
+        if not c >= 1.0:
             raise ConfigError(f"confidence multiplier must be >= 1, got {c}")
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
@@ -400,7 +400,7 @@ class MultipassParams:
         r_max = max(1, math.ceil(math.log(m)))
         if r > r_max:
             raise ConfigError(f"r must lie in [1, ceil(ln m) = {r_max}], got {r}")
-        if c < 1.0:
+        if not c >= 1.0:
             raise ConfigError(f"confidence multiplier must be >= 1, got {c}")
         lam = m ** (-1.0 / (2.0 + r))
         if r >= 2 and lam > 1.0 / math.e:
@@ -423,7 +423,7 @@ def setcover_multipass(source, n: int, m: int, r: int, eps: float, seed: int, *,
     replayable: a callable returning a fresh edge iterable, or a re-iterable
     collection such as a list; a one-shot iterator raises ConfigError.
     """
-    if eps <= 0.0 or eps > 1.0:
+    if not 0.0 < eps <= 1.0:
         raise ConfigError(f"eps must lie in (0, 1], got {eps}")
     params = MultipassParams.derive(r=r, m=m, c=c)
     src = _as_source(source)

@@ -8,7 +8,8 @@ retained count passes edge_budget + degree_cap, and a reject key below
 which nothing evicted comes back. It writes its sketch in the version-1
 file format itself, one `struct` record at a time, so the format is pinned
 by a writer that shares nothing with `save_sketch`. The block builder must
-serialize to the same bytes whatever the block size.
+serialize to the same bytes whatever the block size. `reference_stats`
+replays the block rule on a dict state to pin every `BuilderStats` counter.
 
 A block is the stream's own u64 keys, (element id << 32) | set id: the
 bytes of a binary edge file, read-only. The last test pins that encoding
@@ -137,6 +138,60 @@ def test_block_builder_matches_scalar_reference_across_full_blocks():
         builder = StreamingSketchBuilder(params, seed=5)
         builder.extend(edges)
         assert _bytes(builder.finalize()) == scalar_sketch(edges, params, 5)
+
+
+def reference_stats(edges, params, seed, block):
+    """The BuilderStats of a per-block build on a dict state: drop on sight
+    at or above the reject hash, merge, keep each element's degree_cap
+    smallest set ids, and cut only when the merged state passes
+    edge_budget + degree_cap."""
+    hasher = ElementHasher(seed)
+    cap, limit = params.degree_cap, params.edge_budget + params.degree_cap
+    state, reject = {}, None
+    stats = dict(seen_edges=0, dropped_on_sight=0, dropped_duplicate_or_cap=0,
+                 evicted_elements=0, evicted_edges=0)
+    for start in range(0, len(edges), block):
+        chunk = edges[start:start + block]
+        stats["seen_edges"] += len(chunk)
+        if reject is not None:
+            kept = [(u, v) for u, v in chunk if hasher.value(v) < reject]
+            stats["dropped_on_sight"] += len(chunk) - len(kept)
+            chunk = kept
+        held = sum(map(len, state.values())) + len(chunk)
+        for u, v in chunk:
+            state.setdefault(v, set()).add(u)
+        state = {v: set(sorted(ids)[:cap]) for v, ids in state.items()}
+        total = sum(map(len, state.values()))
+        stats["dropped_duplicate_or_cap"] += held - total
+        if total > limit:
+            order, run = sorted(state, key=hasher.value), 0
+            for cut, v in enumerate(order):
+                if run + len(state[v]) > limit:
+                    break
+                run += len(state[v])
+            reject = hasher.value(order[cut])
+            stats["evicted_elements"] += len(order) - cut
+            stats["evicted_edges"] += total - run
+            state = {v: state[v] for v in order[:cut]}
+    threshold, run = 1.0, 0
+    for v in sorted(state, key=hasher.value):
+        run += len(state[v])
+        if run >= params.edge_budget:
+            threshold = unit_from_u64(hasher.value(v))
+            break
+    return dict(stats, threshold=threshold, budget_bound=threshold < 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams(), st.randoms(use_true_random=False))
+def test_builder_stats_match_a_per_block_reference(case, rng):
+    edges, params, seed = case
+    shuffled = list(edges)
+    rng.shuffle(shuffled)
+    for order in (edges, shuffled):
+        for block in (1, 7, BLOCK_EDGES):
+            stats = _block_sketch(order, params, seed, block).stats.as_dict()
+            assert stats == reference_stats(order, params, seed, block)
 
 
 @settings(max_examples=100, deadline=None)

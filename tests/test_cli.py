@@ -648,6 +648,47 @@ def test_exit_code_non_ascii_text_field(tmp_path, capsys, monkeypatch, field):
     assert "input error" in err and "(line 2, offset 2)" in err
 
 
+@pytest.mark.parametrize("sidecar, named", [
+    (b"not json", "not ASCII JSON"),
+    (b'{"n": 3, "m": 3, "edge_count": 3}\xff', "not ASCII JSON"),
+    (b"[3, 3, 3]", "JSON list, not an object"),
+    (b'{"n": "abc", "m": 3, "edge_count": 3}', "'n' must be a non-negative int"),
+    (b'{"n": 2.5, "m": 3, "edge_count": 3}', "'n' must be a non-negative int"),
+    (b'{"n": 3, "m": true, "edge_count": 3}', "'m' must be a non-negative int"),
+    (b'{"n": 3, "m": 3, "edge_count": -1}', "'edge_count' must be a non-negative int"),
+    (b'{"n": 3, "m": 3}', "missing key 'edge_count'"),
+], ids=["not-json", "not-ascii", "list", "str-n", "float-n", "bool-m",
+        "negative-edge-count", "missing-key"])
+def test_exit_code_malformed_sidecar(tmp_path, capsys, sidecar, named):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 0\n1 1\n2 2\n")
+    (tmp_path / "edges.txt.meta.json").write_bytes(sidecar)
+    code, _, err = run(capsys, "kcover", "--input", str(edges), "--k", "1")
+    assert code == 3
+    assert "input error" in err and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("setcover-outliers", "--lambda", "0.3", "--c", "nan"),
+    ("setcover-multipass", "--r", "1", "--c", "nan"),
+], ids=["outliers", "multipass"])
+def test_nan_confidence_multiplier_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--gen", "random:n=5,m=20,p=0.3", "--json")
+    assert code == 2 and out == ""
+    assert "confidence multiplier must be >= 1, got nan" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("setcover-outliers", "--lambda", "0.3"),
+    ("setcover-multipass", "--r", "1"),
+], ids=["outliers", "multipass"])
+def test_nan_eps_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv, "--eps", "nan", "--gen",
+                         "random:n=5,m=20,p=0.3", "--json")
+    assert code == 2 and out == ""
+    assert "eps must lie in (0, 1], got nan" in err
+
+
 def test_exit_code_element_id_beyond_32_bits(tmp_path, capsys, monkeypatch):
     from covsketch import cli
     from covsketch.harness import OnceEdgeSource

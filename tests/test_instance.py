@@ -14,8 +14,8 @@ from covsketch import (CoverageInstance, brute_force_kcover, brute_force_setcove
                        write_edges_binary, write_edges_text, write_metadata)
 from covsketch.errors import (IdRangeError, IsolatedElementError, ParseError)
 from covsketch import instance
-from covsketch.instance import (BLOCK_EDGES, MAX_ID, EdgeStream, SetSystem,
-                                edge_blocks, load_edge_blocks,
+from covsketch.instance import (BLOCK_EDGES, MAX_ID, EdgeStream, KeyRuns,
+                                SetSystem, edge_blocks, load_edge_blocks,
                                 random_edge_blocks, split_keys)
 
 
@@ -349,6 +349,45 @@ def test_binary_blocks_are_read_only_views_of_the_records():
     (keys,) = load_edge_blocks(io.BytesIO(data), "binary")
     assert not keys.flags.writeable
     assert keys.tolist() == [v << 32 | u for u, v in edges]
+
+
+# ---------------------------------------------------------------------------
+# Sorted key runs
+
+
+def _capped_reference(keys, cap):
+    """np.unique of the keys, then each element's cap smallest."""
+    kept, count = [], {}
+    for key in np.unique(np.array(keys, dtype=np.uint64)).tolist():
+        count[key >> 32] = count.get(key >> 32, 0) + 1
+        if count[key >> 32] <= cap:
+            kept.append(key)
+    return kept
+
+
+_KEYS = st.tuples(st.integers(0, 5) | st.integers(0, MAX_ID),
+                  st.integers(0, 6) | st.integers(0, MAX_ID)).map(
+                      lambda ids: ids[0] << 32 | ids[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.lists(_KEYS, max_size=40), st.booleans()),
+                max_size=12),
+       st.sampled_from([1, 2, 5]))
+def test_key_runs_merge_like_a_binary_counter(blocks, cap):
+    runs = KeyRuns(cap)
+    for keys, ordered in blocks:
+        block = np.array(sorted(keys) if ordered else keys, dtype=np.uint64)
+        block.flags.writeable = False       # a block is never written to
+        runs.add(block)
+        sizes = [run.size for run in runs.runs]
+        assert all(2 * later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+        assert runs.size == sum(sizes)
+        for run in runs.runs:
+            assert run.tolist() == _capped_reference(run, cap)
+    everything = [key for keys, _ in blocks for key in keys]
+    assert runs.merged().tolist() == _capped_reference(everything, cap)
+    assert runs.size == len(runs.merged()) and len(runs.runs) <= 1
 
 
 # ---------------------------------------------------------------------------

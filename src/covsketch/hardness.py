@@ -287,25 +287,25 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
     best_ratio = 0.0
     best_size = None
 
-    def observe(query: frozenset):
-        # scores a query this demo drew, so it is not validated again
+    def observe(size: int, hits: int):
+        # scores a query this demo drew by its (size, gold hits)
         nonlocal best_ratio, best_size
         # true/opt as one correctly rounded integer division
-        ratio = inst._scaled_true(*inst._tally(query)) / (
-            inst.k_gold * inst.opt_value)
+        ratio = inst._scaled_true(size, hits) / (inst.k_gold * inst.opt_value)
         if ratio > best_ratio:
             best_ratio = ratio
-            best_size = len(query)
+            best_size = size
 
     if strategy == "random_subsets":
         while queries < budget and not found:
             query = frozenset(_sample_query(rng, inst.n_items))
             queries += 1
             found = inst.deviation_oracle(query) == 1
-            observe(query)
+            observe(*inst._tally(query))
     else:
+        k = inst.k_gold
         held: list[int] = []
-        while len(held) < inst.k_gold and queries < budget:
+        while len(held) < k and queries < budget:
             best_item = None
             best_value = None
             for cand in range(inst.n_items):
@@ -313,12 +313,15 @@ def query_counter_demo(inst: PlantedGoldInstance, strategy: str, budget: int,
                     continue
                 if queries >= budget:
                     break
+                # one noisy value query: the oracle's integer core on the
+                # query's (size, gold hits), k times the value
                 queries += 1
-                value = inst.noisy_coverage_oracle(held + [cand])
-                # value != k + |query| iff that query's deviation bit fired
-                if value != inst.k_gold + len(held) + 1:
+                size, hits = inst._tally(frozenset(held + [cand]))
+                value = inst._scaled_noisy(size, hits)
+                # value != k (k + |query|) iff that query's deviation bit fired
+                if value != k * (k + size):
                     found = True
-                observe(frozenset(held + [cand]))
+                observe(size, hits)
                 if best_value is None or value > best_value:
                     best_value = value
                     best_item = cand

@@ -20,10 +20,10 @@ import numpy as np
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
 # load_edges is unused here; perfbench/layers.py patches it in --trace 1 runs
-from .instance import (KEY_LOW, Edge, EdgeStream, KeyRuns, edge_blocks,
-                       gen_disjointness, gen_planted_cover, load_edge_blocks,
-                       load_edges, random_edge_blocks, read_metadata,
-                       split_keys)
+from .instance import (_NO_KEYS, KEY_LOW, Edge, EdgeStream, KeyRuns,
+                       edge_blocks, element_runs, gen_disjointness,
+                       gen_planted_cover, grown, load_edge_blocks, load_edges,
+                       random_edge_blocks, read_metadata, split_keys)
 from .solvers import Solution
 
 SEED_GENERATOR = 1
@@ -207,22 +207,32 @@ def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
                      ) -> tuple[int, int]:
     """(covered, universe) distinct-element counts from one stream pass.
 
-    A boolean table over the span of the chosen ids, looked up by each key's
-    set id, finds the covering arrivals. Each count is a `KeyRuns(1)` of
-    keys, one per distinct element, over every key or the covering ones: at
-    most about twice the distinct elements, plus one block.
+    Each count is a `KeyRuns(1)`, one key per distinct element: of the first
+    key of each run of keys sharing an element id, or of the covering keys,
+    found by looking each key's set id up in a boolean table over the span
+    of the chosen ids. Both run on scratch buffers sized to the block in
+    hand. At most about twice the distinct elements are held, plus one block.
     """
     picks = np.array(sorted(set(chosen)), dtype=np.int64)
     covered, universe = KeyRuns(1), KeyRuns(1)
     if picks.size:
-        below = int(picks[0]) - 1       # table[0] and table[-1] are the misses
-        table = np.zeros(int(picks[-1]) - below + 2, dtype=bool)
-        table[picks - below] = True
+        # table[set id - below], the u64 difference read as int64 and
+        # clipped: table[0] and table[-1] are the misses
+        below = np.uint64((int(picks[0]) - 1) % 2**64)
+        table = np.zeros(int(picks[-1]) - int(picks[0]) + 3, dtype=bool)
+        table[picks - picks[0] + 1] = True
+    at_buffer, words, mask = _NO_KEYS, np.empty(0, np.uint32), np.empty(0, bool)
     for keys in edge_blocks(edges):
-        universe.add(keys)
+        words, mask = grown(words, keys.size), grown(mask, keys.size)
+        starts, _, _ = element_runs(keys, words, mask)
+        universe.add(keys[starts])
         if picks.size:
-            hit = table.take((keys & KEY_LOW).view(np.int64) - below, mode="clip")
-            covered.add(keys[hit])
+            at_buffer = grown(at_buffer, keys.size)
+            at, hit = at_buffer[:keys.size], mask[:keys.size]
+            np.bitwise_and(keys, KEY_LOW, out=at)
+            np.subtract(at, below, out=at)
+            table.take(at.view(np.int64), mode="clip", out=hit)
+            covered.add(keys[np.flatnonzero(hit)])
     return (covered.merged().size, universe.merged().size)
 
 

@@ -33,6 +33,7 @@ import itertools
 import json
 import numbers
 import operator
+import sys
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -47,6 +48,7 @@ _ID_SPAN = MAX_ID + 1
 BLOCK_EDGES = 65_536
 KEY_SHIFT = np.uint64(32)   # a key's element id is key >> KEY_SHIFT
 KEY_LOW = np.uint64(MAX_ID)     # and its set id key & KEY_LOW
+_LOW_WORD = 0 if sys.byteorder == "little" else 1   # the set id's u32 word
 
 _KEY_BYTES = 8      # one binary record
 _NO_KEYS = np.empty(0, dtype=np.uint64)
@@ -97,9 +99,11 @@ class SetSystem:
             if not 0 <= pos[i] < universe:
                 raise IdRangeError(f"element id {pos[i]} outside [0, {universe})")
             raise IdRangeError(f"set id {ids[i]} outside [0, {n})")
-        pos, ids = pos.astype(np.int64), ids.astype(np.int64)
+        pos, ids = pos.astype(np.int64, copy=False), ids.astype(np.int64, copy=False)
         table = np.zeros((n, (universe + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(table, (ids, pos >> 3), (1 << (pos & 7)).astype(np.uint8))
+        bits = pos.astype(np.uint8) & np.uint8(7)      # pos mod 8
+        np.left_shift(np.uint8(1), bits, out=bits)
+        np.bitwise_or.at(table, (ids, pos >> 3), bits)
         return cls(n, universe, tuple(int.from_bytes(row, "little") for row in table))
 
     def coverage(self, chosen: Iterable[int]) -> int:
@@ -428,18 +432,60 @@ class KeyRuns:
         if len(runs) > 1:
             keys = np.concatenate(runs)
             keys.sort(kind="stable")        # a merge of the ascending runs
-        cap, keep = self.cap, np.empty(keys.size, dtype=bool)
-        if cap > 1:     # at cap 1 the cap step drops repeats too
-            keep[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-            if not keep.all():
-                keys = keys[keep]
-                keep = keep[:keys.size]
-        # keys[i + cap] ranks cap or more within its element iff keys[i]
-        # belongs to the same element, that is, their high words agree
-        keep[:cap] = True
-        np.greater(keys[cap:] ^ keys[:-cap], KEY_LOW, out=keep[cap:])
-        return keys if keep.all() else keys[keep]
+        return capped_keys(keys, self.cap)
+
+
+def grown(buffer: np.ndarray, size: int) -> np.ndarray:
+    """A scratch buffer of at least `size` items: `buffer`, or a new one of
+    its dtype if it is shorter."""
+    return buffer if buffer.size >= size else np.empty(size, dtype=buffer.dtype)
+
+
+def key_words(keys: EdgeBlock) -> tuple[np.ndarray, np.ndarray]:
+    """A contiguous key array's (set ids, element ids): strided u32 views of
+    its words, no copy."""
+    words = keys.view(np.uint32)
+    return words[_LOW_WORD::2], words[1 - _LOW_WORD::2]
+
+
+def element_runs(keys: EdgeBlock, words: np.ndarray, mask: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The start and length of each run of keys sharing an element id, and
+    that id (uint32). `words` (uint32) and `mask` (bool) are scratch of at
+    least keys.size items."""
+    size = keys.size
+    elements, first = words[:size], mask[:size]
+    np.right_shift(keys, KEY_SHIFT, out=elements, casting="unsafe")
+    first[:1] = True
+    np.not_equal(elements[1:], elements[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = size - starts[-1:]
+    return starts, lengths, elements[starts]
+
+
+def capped_keys(keys: EdgeBlock, cap: int) -> EdgeBlock:
+    """An ascending key array without repeats, each element keeping its first
+    `cap` keys: the array itself when nothing goes, never written to."""
+    keep = np.empty(keys.size, dtype=bool)
+    if cap > 1:     # at cap 1 the cap step drops repeats too
+        keep[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        if not keep.all():
+            keys = keys[keep]
+            keep = keep[:keys.size]
+    elements = np.empty(keys.size, dtype=np.uint32)
+    np.right_shift(keys, KEY_SHIFT, out=elements, casting="unsafe")
+    # keys[i + cap] ranks cap or more within its element iff keys[i]
+    # belongs to the same element
+    keep[:cap] = True
+    np.not_equal(elements[cap:], elements[:-cap], out=keep[cap:])
+    kept = int(np.count_nonzero(keep))
+    if kept == keys.size:
+        return keys
+    # a boolean index is slow on a sparse mask, an index array on a dense one
+    return keys[keep] if 2 * kept > keys.size else keys[np.flatnonzero(keep)]
 
 
 def pack_keys(set_ids, element_ids, n: int = _ID_SPAN) -> EdgeBlock:
@@ -461,15 +507,17 @@ def pack_keys(set_ids, element_ids, n: int = _ID_SPAN) -> EdgeBlock:
 
 
 def _block_keys(block, n: int = _ID_SPAN) -> EdgeBlock:
-    """A source's block as keys: a 1-d uint64 key array as it is, or a
-    (set ids, element ids) pair checked and packed by `pack_keys`. A set id
-    outside [0, n) raises IdRangeError naming the first."""
+    """A source's block as keys: a 1-d uint64 key array as it is (copied
+    only if not contiguous), or a (set ids, element ids) pair checked and
+    packed by `pack_keys`. A set id outside [0, n) raises IdRangeError
+    naming the first."""
     if not (isinstance(block, np.ndarray) and block.dtype == np.uint64
             and block.ndim == 1):
         set_ids, element_ids = block
         return pack_keys(set_ids, element_ids, n)
+    block = np.ascontiguousarray(block)
     if n < _ID_SPAN and block.size:
-        u = block & KEY_LOW
+        u, _ = key_words(block)
         if u.max() >= n:
             raise IdRangeError(f"set id {u[np.argmax(u >= n)]} outside [0, {n})")
     return block

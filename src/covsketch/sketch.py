@@ -10,13 +10,15 @@ Two builders produce the same structure: an offline one that sorts all
 elements of a materialized instance by hash, and a single-pass streaming one
 that ingests the edge stream a block at a time (at most BLOCK_EDGES edges).
 A block is the stream's own u64 keys, (element id << 32) | set id, as a
-binary edge file holds them (see `instance`). The streaming builder holds
-them as sorted runs (`KeyRuns`), each element keeping its degree_cap
-smallest set ids, and merges and cuts them to the hash prefix of elements
-holding at most edge_budget + degree_cap edges only when they may hold
-more. So it holds at most that many keys between blocks, plus one block in
-flight, and a build whose budget never binds costs O(N log N). The sketch
-is a pure function of (edge multiset, seed, params): whatever the arrival
+binary edge file holds them (see `instance`). Each element keeps its
+degree_cap smallest set ids. The streaming builder holds its first
+edge_budget + degree_cap arrivals as sorted runs (`KeyRuns`), so a build
+whose budget never binds costs O(N log N); past that, it keeps a table of
+the retained elements in hash order over a store of their key runs, and
+cuts the table to the hash prefix of elements holding at most
+edge_budget + degree_cap edges. So it holds at most that many keys between
+blocks, and a block costs a fixed number of numpy calls over its arrivals
+and the table. The sketch is a pure function of (edge multiset, seed, params): whatever the arrival
 order or the block boundaries, it serializes to the same bytes as the
 offline sketch of the same edges.
 
@@ -46,8 +48,9 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, StateError
 from .hashing import ElementHasher, unit_from_u64
-from .instance import (KEY_LOW, KEY_SHIFT, MAX_ID, CoverageInstance, Edge,
-                       KeyRuns, SetSystem, edge_blocks, pack_keys)
+from .instance import (_NO_KEYS, KEY_SHIFT, MAX_ID, CoverageInstance, Edge,
+                       KeyRuns, SetSystem, capped_keys, edge_blocks,
+                       element_runs, grown, key_words, pack_keys)
 
 _MAGIC = b"CVSK"
 _VERSION = 1
@@ -56,6 +59,9 @@ _THRESHOLD_AT = struct.calcsize("<4sIIIddQ")   # header offset of the threshold
 _RECORD = struct.calcsize("<IQI")   # element id, hash, degree; then the set ids
 _U32 = struct.Struct("<I")
 _TRUNCATED = "truncated sketch: expected {} byte(s) for {}"
+_NO_INDEX = np.empty(0, dtype=np.int64)
+_NO_WORDS = np.empty(0, dtype=np.uint32)
+_NO_MASK = np.empty(0, dtype=bool)
 
 
 def _check_domain(n: int, k: int, eps: float, delta2: float) -> None:
@@ -377,46 +383,80 @@ class BuilderStats:
         return asdict(self)
 
 
+def _spans(starts, lengths) -> np.ndarray:
+    """The indices of the runs [starts[i], starts[i] + lengths[i]), in turn."""
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    at += np.arange(at.size)
+    return at
+
+
 class StreamingSketchBuilder:
     """Single-pass builder over (set_id, element_id) arrivals, a block at a time.
 
     A block is a key array, (element id << 32) | set id, taken as it is and
-    never written to; `edge_blocks` checks its set ids against n. The state
-    is a `KeyRuns(degree_cap)` of such keys. Once an element has been
-    evicted, the builder hashes each run of a block's arrivals that share an
-    element id once and drops every arrival whose hash is at or above the
-    reject hash (the least hash evicted so far; an evicted element is never
-    re-admitted). It adds the survivors to the runs. Only when the run sizes
-    (retained_edge_count, a key in two runs counted twice) sum past
-    edge_budget + degree_cap does it merge them; if more than that many keys
-    remain, it hashes the retained elements, cuts the longest hash prefix of
-    them holding at most that many keys, and evicts the elements past it
-    whole. Memory: at most edge_budget + degree_cap keys between blocks;
-    within a block, those plus the block's keys and its survivors.
+    never written to; `edge_blocks` checks its set ids against n. Each
+    element keeps its degree_cap smallest set ids. While the arrivals so far
+    number at most edge_budget + degree_cap, they are held as a
+    `KeyRuns(degree_cap)`, so a build whose budget never binds costs
+    O(N log N). Past that, the state is a table of the retained elements in
+    ascending hash order (each one's hash, degree, and the start of its keys
+    in a store of key runs, one ascending run per element, anywhere in the
+    store), and each block goes as follows:
+
+    - in a strictly ascending block, each run of arrivals with one element
+      id is that element's keys: it is hashed once, dropped on sight if at
+      or above the reject hash (the least hash evicted so far; an evicted
+      element is never re-admitted), and otherwise kept, capped at
+      degree_cap. Any other block's arrivals are hashed one by one, and
+      the survivors are sorted, deduplicated and capped, and their runs
+      found and hashed;
+    - the survivors are appended to the store (their runs, or the whole
+      block if most of it survives), and each new element is inserted into
+      the table at its hash. An element already held gets a new run: its
+      old and new keys merged, deduplicated and capped;
+    - if the table then holds more than edge_budget + degree_cap keys, it is
+      cut to the longest hash prefix holding at most that many, and the
+      elements past it are evicted whole: the table drops a suffix. The
+      store is packed to the table's runs only when it is full.
+
+    So a block costs a fixed number of numpy calls: a few over its arrivals,
+    the rest over its runs and the table of about
+    (edge_budget + degree_cap) / degree elements, and none over the retained
+    keys but the occasional packing. Memory: at most edge_budget +
+    degree_cap keys held between blocks, in a store of at most 1.5 times
+    what it held plus twice what it took in at its last packing, plus a
+    block's temporaries (see README for the bound).
 
     An element's capped degree only grows as arrivals come in, so the cut
     only moves down the hash order, and the final state is a pure function
     of the edge multiset, the seed and the params, whatever the arrival
-    order or the block boundaries: finalize returns what
-    `build_sketch_offline` builds from the same edges. finalize merges and
-    releases the runs, so retained_edge_count then reads 0.
+    order or the block boundaries: finalize gathers the table's runs and
+    trims them to what `build_sketch_offline` builds from the same edges.
+    It releases the state, so retained_edge_count then reads 0.
     """
 
-    __slots__ = ("params", "seed", "stats", "_hasher", "_runs", "_reject",
-                 "_finalized")
+    __slots__ = ("params", "seed", "stats", "_hasher", "_limit", "_runs",
+                 "_reject", "_hashes", "_degrees", "_starts", "_store", "_top",
+                 "_words", "_mask", "_finalized")
 
     def __init__(self, params: SketchParams, seed: int):
         self.params = params
         self.seed = seed
         self.stats = BuilderStats()
         self._hasher = ElementHasher(seed)
-        self._runs = KeyRuns(params.degree_cap)
+        self._limit = params.edge_budget + params.degree_cap
+        self._runs: KeyRuns | None = KeyRuns(params.degree_cap)
         self._reject: np.uint64 | None = None
+        self._hashes = _NO_KEYS                    # the element table
+        self._degrees = self._starts = _NO_INDEX
+        self._store, self._top = _NO_KEYS, 0       # and its key runs
+        self._words, self._mask = _NO_WORDS, _NO_MASK   # scratch
         self._finalized = False
 
     @property
     def retained_edge_count(self) -> int:
-        return self._runs.size
+        held = 0 if self._runs is None else self._runs.size
+        return held + int(self._degrees.sum())
 
     @property
     def seen_edge_count(self) -> int:
@@ -439,64 +479,191 @@ class StreamingSketchBuilder:
         """Arrivals given as a key array of set ids in [0, n), in order."""
         if self._finalized:
             raise StateError("update_block() after finalize()")
-        state = self._runs
         self.stats.seen_edges += int(keys.size)
-        if self._reject is not None:
-            _, hashes, runs = self._elements_of(keys)
-            fresh = np.repeat(hashes < self._reject, runs)
-            self.stats.dropped_on_sight += int(keys.size - np.count_nonzero(fresh))
-            keys = keys[fresh]
-        limit = self.params.edge_budget + self.params.degree_cap
-        held = state.size + keys.size
-        state.add(keys)
-        if state.size > limit:
-            keys = state.merged()
-        self.stats.dropped_duplicate_or_cap += held - state.size
-        if state.size > limit:
-            ids, hashes, degrees = self._elements_of(keys)
-            by_hash = np.argsort(hashes)
-            ends = np.cumsum(degrees[by_hash])
-            cut = np.searchsorted(ends, limit, side="right")
-            self._reject = hashes[by_hash[cut]]
-            stay = hashes < self._reject
-            self.stats.evicted_elements += int(ids.size - np.count_nonzero(stay))
-            self.stats.evicted_edges += int(keys.size - ends[cut - 1])
-            state.runs = [keys[np.repeat(stay, degrees)]]
+        runs = self._runs
+        if runs is not None:
+            held = runs.size + keys.size
+            if held <= self._limit:         # the budget cannot bind yet
+                runs.add(keys)
+                self.stats.dropped_duplicate_or_cap += held - runs.size
+                return
+            self._release_runs()
+        if keys.size:
+            self._admit(keys)
 
-    def _elements_of(self, keys):
-        """The element id of each run of keys with one element id, with its
-        hash and the run's length; in an ascending key array, one run per
-        element."""
-        elements = keys >> KEY_SHIFT
-        first = np.ones(elements.size, dtype=bool)
-        np.not_equal(elements[1:], elements[:-1], out=first[1:])
-        start = np.flatnonzero(first)
-        ids = elements[start].view(np.int64)
-        return ids, self._hasher.values(ids), np.diff(np.append(start, elements.size))
+    def _release_runs(self) -> None:
+        """Make the held runs the table; the store is their merged keys."""
+        runs, self._runs = self._runs, None
+        held, keys = runs.size, runs.merged()
+        self.stats.dropped_duplicate_or_cap += held - keys.size
+        starts, lengths, ids = self._element_runs(keys)
+        hashes = self._hasher.values(ids)
+        order = np.argsort(hashes)      # distinct: the hash is a bijection
+        self._hashes, self._degrees, self._starts = (
+            hashes[order], lengths[order], starts[order])
+        self._store, self._top = _frozen(keys, np.uint64), keys.size
+
+    def _scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The u32 and bool scratch buffers, grown to at least `size` items."""
+        self._words = grown(self._words, size)
+        self._mask = grown(self._mask, size)
+        return self._words, self._mask
+
+    def _element_runs(self, keys):
+        """`element_runs` of a key array, on the scratch buffers."""
+        return element_runs(keys, *self._scratch(keys.size))
+
+    def _admit(self, keys) -> None:
+        """Filter a block at the reject hash, merge its survivors into the
+        table, and cut the table if it passes edge_budget + degree_cap."""
+        stats, cap, seen = self.stats, self.params.degree_cap, keys.size
+        words, mask = self._scratch(seen)
+        if np.greater(keys[1:], keys[:-1], out=mask[:seen - 1]).all():
+            # a strictly ascending block: each run is one element's keys
+            starts, lengths, ids = self._element_runs(keys)
+            hashes = self._hasher.values(ids)
+            if self._reject is not None:
+                live = np.flatnonzero(hashes < self._reject)
+                starts, lengths, hashes = starts[live], lengths[live], hashes[live]
+            held = int(lengths.sum())
+            if held and lengths.max() > cap:
+                lengths = np.minimum(lengths, cap)
+        else:
+            # any other block: each arrival is hashed, and the survivors
+            # are sorted and capped, and their runs found and hashed
+            if self._reject is not None:
+                np.right_shift(keys, KEY_SHIFT, out=words[:seen], casting="unsafe")
+                keys = keys[np.flatnonzero(self._hasher.values(words[:seen])
+                                           < self._reject)]
+            held = keys.size
+            keys = capped_keys(np.sort(keys), cap)
+            starts, lengths, ids = self._element_runs(keys)
+            hashes = self._hasher.values(ids)
+        stats.dropped_on_sight += seen - held
+        if not held:
+            return
+        stats.dropped_duplicate_or_cap += held - int(lengths.sum())
+        self._merge(keys, starts, lengths, hashes)
+        self._cut()
+
+    def _merge(self, keys, starts, lengths, hashes) -> None:
+        """Add the runs [starts, starts + lengths) of `keys` to the table:
+        each is one element's ascending capped keys, with that hash, and
+        they come in element id order."""
+        order = np.argsort(hashes)
+        at = np.empty_like(order)       # each run's place in the table
+        at[order] = np.searchsorted(self._hashes, hashes[order])
+        held = np.zeros(at.size, dtype=bool)
+        if self._hashes.size:
+            np.equal(self._hashes.take(at, mode="clip"), hashes, out=held)
+        both = _NO_KEYS
+        if held.any():
+            # the held rows' runs, then their new keys: two ascending runs
+            rows = at[held]
+            both = np.concatenate((
+                self._store[_spans(self._starts[rows], self._degrees[rows])],
+                keys[_spans(starts[held], lengths[held])]))
+            both.sort(kind="stable")
+            merged = capped_keys(both, self.params.degree_cap)
+            self.stats.dropped_duplicate_or_cap += both.size - merged.size
+            both = merged
+            self._degrees[rows] = 0     # their old runs are not kept
+            order = order[~held[order]]
+        hashes, starts, lengths, at = (
+            hashes[order], starts[order], lengths[order], at[order])
+        size = int(lengths.sum())
+        whole = 2 * size >= keys.size   # copy the keys as they are, not the runs
+        self._reserve((keys.size if whole else size) + both.size)
+        store, top = self._store, self._top
+        if whole:
+            store[top:top + keys.size] = keys
+            starts = starts + top
+            top += keys.size
+        else:
+            np.take(keys, _spans(starts, lengths), out=store[top:top + size],
+                    mode="clip")
+            starts = np.cumsum(lengths) - lengths + top
+            top += size
+        if both.size:   # one merged run per held row, in order
+            run_starts, run_lengths, _ = self._element_runs(both)
+            store[top:top + both.size] = both
+            self._starts[rows] = top + run_starts
+            self._degrees[rows] = run_lengths
+            top += both.size
+        self._top = top
+        if not self._hashes.size:
+            self._hashes, self._degrees, self._starts = hashes, lengths, starts
+        elif hashes.size:
+            at += np.arange(at.size)
+            old = np.ones(self._hashes.size + at.size, dtype=bool)
+            old[at] = False
+            self._hashes, self._degrees, self._starts = (
+                _inserted(table, old, at, new) for table, new in (
+                    (self._hashes, hashes), (self._degrees, lengths),
+                    (self._starts, starts)))
+
+    def _reserve(self, need: int) -> None:
+        """Room for `need` keys past the store's top. When it is short (or
+        is the released runs' keys), the table's runs (`size` keys) are
+        packed to the front in hash order, unless they fill the store up to
+        its top already; if it is still short, into a new store of
+        size + need + max(size // 2, need) keys, so that packing costs O(1)
+        moves per key taken in."""
+        writable = self._store.flags.writeable
+        if writable and self._top + need <= self._store.size:
+            return
+        size, live = int(self._degrees.sum()), None
+        if size < self._top:    # else the runs fill the store up to its top
+            live = self._store[_spans(self._starts, self._degrees)]
+            self._starts = np.cumsum(self._degrees) - self._degrees
+        self._top = size
+        if not writable or size + need > self._store.size:
+            store = np.empty(size + need + max(size // 2, need), dtype=np.uint64)
+            store[:size] = self._store[:size] if live is None else live
+            self._store = store
+        elif live is not None:
+            self._store[:size] = live
+
+    def _cut(self) -> None:
+        """Evict the elements past the longest hash prefix holding at most
+        edge_budget + degree_cap keys, if the table holds more."""
+        ends = np.cumsum(self._degrees)
+        total = int(ends[-1])
+        if total > self._limit:
+            cut = int(np.searchsorted(ends, self._limit, side="right"))
+            self._reject = self._hashes[cut]
+            self.stats.evicted_elements += ends.size - cut
+            self.stats.evicted_edges += total - int(ends[cut - 1])
+            self._hashes, self._degrees, self._starts = (
+                self._hashes[:cut], self._degrees[:cut], self._starts[:cut])
 
     def finalize(self) -> Sketch:
-        """Merge the runs, order the elements by hash, trim to the minimal
-        prefix meeting edge_budget, and freeze; the runs are released."""
+        """Gather the table's runs in hash order, trim them to the minimal
+        prefix meeting edge_budget, and freeze; the state is released."""
         if self._finalized:
             raise StateError("finalize() called twice")
         self._finalized = True
-        held, keys = self._runs.size, self._runs.merged()
-        self._runs = KeyRuns(self.params.degree_cap)
-        self.stats.dropped_duplicate_or_cap += held - keys.size
-        ids, hashes, degrees = self._elements_of(keys)
-        order = np.argsort(hashes)
-        ends = np.cumsum(degrees)
-        sorted_degrees = degrees[order]
-        # the element runs of the key array, taken in hash order
-        moved = (ends - degrees)[order] - (np.cumsum(sorted_degrees) - sorted_degrees)
-        at = np.arange(keys.size) + np.repeat(moved, sorted_degrees)
-        sets = (keys[at] & KEY_LOW).view(np.int64)
-        sk = _trimmed(self.params, self.seed, ids[order], hashes[order],
-                      sorted_degrees, sets)
+        if self._runs is not None:
+            self._release_runs()
+        degrees = self._degrees
+        sets, elements = key_words(self._store[_spans(self._starts, degrees)])
+        sk = _trimmed(self.params, self.seed, elements[np.cumsum(degrees) - degrees],
+                      self._hashes, degrees, sets)
+        self._hashes, self._degrees, self._starts = _NO_KEYS, _NO_INDEX, _NO_INDEX
+        self._store, self._words, self._mask = _NO_KEYS, _NO_WORDS, _NO_MASK
         self.stats.threshold = sk.threshold
         self.stats.budget_bound = sk.threshold < 1.0
         sk.stats = self.stats
         return sk
+
+
+def _inserted(table, old, at, new) -> np.ndarray:
+    """`table` with `new` inserted: the result holds new[i] at at[i] and the
+    table's entries, in order, where `old` is True."""
+    out = np.empty(old.size, dtype=table.dtype)
+    out[at] = new
+    out[old] = table
+    return out
 
 
 def build_sketch_from_stream(edges: Iterable[Edge], params: SketchParams,

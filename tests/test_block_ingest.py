@@ -194,6 +194,41 @@ def test_builder_stats_match_a_per_block_reference(case, rng):
             assert stats == reference_stats(order, params, seed, block)
 
 
+def _first_block_evictions(edges, params, seed):
+    """The elements evicted when the first BLOCK_EDGES edges are merged."""
+    hasher = ElementHasher(seed)
+    state = {}
+    for u, v in edges[:BLOCK_EDGES]:
+        state.setdefault(v, set()).add(u)
+    run, limit = 0, params.edge_budget + params.degree_cap
+    for cut, v in enumerate(order := sorted(state, key=hasher.value)):
+        run += min(len(state[v]), params.degree_cap)
+        if run > limit:
+            return set(order[cut:])
+    return set()
+
+
+@pytest.mark.parametrize("cap, budget", [(5, 4000), (60, 9000), (3, 200_000)])
+def test_stats_and_bytes_at_real_block_boundaries(cap, budget):
+    # two blocks of BLOCK_EDGES edges, element-major and shuffled
+    edges = list(random_edge_stream(60, 2600, 0.5, seed=17))
+    assert BLOCK_EDGES < len(edges) < 2 * BLOCK_EDGES
+    shuffled = list(edges)
+    random.Random(3).shuffle(shuffled)
+    params = SketchParams.custom(n=60, k=3, eps=0.2, degree_cap=cap,
+                                 edge_budget=budget)
+    # an element straddles the boundary, and in the shuffled order (if the
+    # budget binds) an element evicted in the first block arrives again
+    assert edges[BLOCK_EDGES - 1][1] == edges[BLOCK_EDGES][1]
+    if budget < len(edges):
+        evicted = _first_block_evictions(shuffled, params, 5)
+        assert evicted & {v for _, v in shuffled[BLOCK_EDGES:]}
+    for order in (edges, shuffled):
+        sk = _block_sketch(order, params, 5, BLOCK_EDGES)
+        assert sk.stats.as_dict() == reference_stats(order, params, 5, BLOCK_EDGES)
+        assert _bytes(sk) == scalar_sketch(order, params, 5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 64 - 1),
        st.lists(st.integers(0, 2 ** 32 - 1), max_size=50))

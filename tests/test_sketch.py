@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from covsketch import (CoverageInstance, Sketch, SketchParams,
                        load_sketch, sample_subgraph, save_sketch)
 from covsketch.errors import ConfigError, IdRangeError, ParseError, StateError
 from covsketch.hashing import ElementHasher, unit_from_u64
-from covsketch.instance import BLOCK_EDGES
+from covsketch.instance import BLOCK_EDGES, EdgeStream, random_edge_blocks
 
 
 def _cap_nonbinding(n, budget, **kw):
@@ -641,3 +642,23 @@ def test_sketch_repr_and_space_units():
     sk = build_sketch_offline(inst, _cap_nonbinding(5, 15), seed=0)
     assert sk.space_units == sk.element_count + sk.edge_total
     assert "Sketch(" in repr(sk)
+
+
+def test_budget_bound_build_stays_within_its_memory_bound():
+    # the README's bound for an element-major stream: the tracemalloc peak
+    # of a budget-bound build over read blocks stays under
+    # 5 (edge_budget + degree_cap) + 4 BLOCK_EDGES keys of 8 bytes
+    blocks = list(random_edge_blocks(200, 100_000, 0.05, seed=1))
+    params = SketchParams.custom(n=200, k=10, eps=0.05, degree_cap=20,
+                                 edge_budget=50_000)
+    tracemalloc.start()
+    try:
+        builder = StreamingSketchBuilder(params, seed=3)
+        builder.extend(EdgeStream(blocks))
+        sk = builder.finalize()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sk.stats.budget_bound and sk.stats.evicted_elements > 0
+    limit = params.edge_budget + params.degree_cap
+    assert peak <= 8 * (5 * limit + 4 * BLOCK_EDGES)

@@ -20,10 +20,10 @@ import numpy as np
 from .errors import ConfigError, ParseError, StateError
 from .hashing import derive_seed
 # load_edges is unused here; perfbench/layers.py patches it in --trace 1 runs
-from .instance import (_NO_KEYS, KEY_LOW, Edge, EdgeStream, KeyRuns,
-                       edge_blocks, element_runs, gen_disjointness,
-                       gen_planted_cover, grown, load_edge_blocks, load_edges,
-                       random_edge_blocks, read_metadata, split_keys)
+from .instance import (KEY_LOW, KEY_SHIFT, Edge, EdgeStream, ElementIds,
+                       edge_blocks, gen_disjointness, gen_planted_cover, grown,
+                       key_words, load_edge_blocks, load_edges,
+                       random_edge_blocks, read_metadata)
 from .solvers import Solution
 
 SEED_GENERATOR = 1
@@ -196,7 +196,7 @@ def scan_shape(edges: Iterable[Edge]) -> tuple[int, int, int]:
     for keys in edge_blocks(edges):
         if not keys.size:
             continue
-        u, v = split_keys(keys)
+        u, v = key_words(keys)
         max_u = max(max_u, int(u.max()))
         max_v = max(max_v, int(v.max()))
         count += int(keys.size)
@@ -207,33 +207,38 @@ def recount_coverage(edges: Iterable[Edge], chosen: Iterable[int]
                      ) -> tuple[int, int]:
     """(covered, universe) distinct-element counts from one stream pass.
 
-    Each count is a `KeyRuns(1)`, one key per distinct element: of the first
-    key of each run of keys sharing an element id, or of the covering keys,
-    found by looking each key's set id up in a boolean table over the span
-    of the chosen ids. Both run on scratch buffers sized to the block in
-    hand. At most about twice the distinct elements are held, plus one block.
+    Each count is an `ElementIds`, fed each block's element ids, or those of
+    its covering keys, found by looking each key's set id up in a boolean
+    table over the span of the chosen ids. While the stream ascends by
+    element id, as an element-major one does, each holds intervals of
+    consecutive ids; from the first block that does not, a `KeyRuns(1)`:
+    at most about twice the distinct elements. Add one block's temporaries,
+    on scratch buffers sized to the block in hand.
     """
     picks = np.array(sorted(set(chosen)), dtype=np.int64)
-    covered, universe = KeyRuns(1), KeyRuns(1)
+    covered, universe = ElementIds(), ElementIds()
     if picks.size:
         # table[set id - below], the u64 difference read as int64 and
         # clipped: table[0] and table[-1] are the misses
         below = np.uint64((int(picks[0]) - 1) % 2**64)
         table = np.zeros(int(picks[-1]) - int(picks[0]) + 3, dtype=bool)
         table[picks - picks[0] + 1] = True
-    at_buffer, words, mask = _NO_KEYS, np.empty(0, np.uint32), np.empty(0, bool)
+    at_buffer, ids_buffer = np.empty(0, np.uint64), np.empty(0, np.uint32)
+    hit_buffer = np.empty(0, bool)
     for keys in edge_blocks(edges):
-        words, mask = grown(words, keys.size), grown(mask, keys.size)
-        starts, _, _ = element_runs(keys, words, mask)
-        universe.add(keys[starts])
+        ids_buffer = grown(ids_buffer, keys.size)
+        ids = ids_buffer[:keys.size]
+        np.right_shift(keys, KEY_SHIFT, out=ids, casting="unsafe")
+        universe.add(ids)
         if picks.size:
             at_buffer = grown(at_buffer, keys.size)
-            at, hit = at_buffer[:keys.size], mask[:keys.size]
+            hit_buffer = grown(hit_buffer, keys.size)
+            at, hit = at_buffer[:keys.size], hit_buffer[:keys.size]
             np.bitwise_and(keys, KEY_LOW, out=at)
             np.subtract(at, below, out=at)
             table.take(at.view(np.int64), mode="clip", out=hit)
-            covered.add(keys[np.flatnonzero(hit)])
-    return (covered.merged().size, universe.merged().size)
+            covered.add(ids[np.flatnonzero(hit)])
+    return (covered.count(), universe.count())
 
 
 class PhaseTimer:

@@ -435,6 +435,79 @@ class KeyRuns:
         return capped_keys(keys, self.cap)
 
 
+class ElementIds:
+    """Distinct u32 element ids, fed block by block (a block is not held).
+
+    While arrivals ascend (a block's first id is at least the last held, and
+    its ids never fall), they are held as closed intervals [lo, hi], so an
+    element-major stream costs about one interval per run of consecutive
+    ids. At the first block that does not ascend, the intervals are expanded
+    once into `KeyRuns(1)` as `id << 32` keys, and so is every later block.
+    """
+
+    __slots__ = ("lo", "hi", "held", "runs")
+
+    def __init__(self):
+        self.lo, self.hi = [], []   # u32 arrays of interval bounds
+        self.held = 0               # the ids the intervals cover
+        self.runs = None            # the KeyRuns once arrivals do not ascend
+
+    def count(self) -> int:
+        """The number of distinct ids added."""
+        return self.held if self.runs is None else self.runs.merged().size
+
+    def add(self, ids: np.ndarray) -> None:
+        """Adds a 1-d uint32 array of element ids."""
+        if not ids.size:
+            return
+        if self.runs is None:
+            if self._add_ascending(ids):
+                return
+            self.runs = KeyRuns(1)
+            if self.lo:
+                self.runs.add(self._expanded())
+            self.lo, self.hi, self.held = [], [], 0
+        keys = ids.astype(np.uint64)
+        keys <<= KEY_SHIFT
+        self.runs.add(keys)
+
+    def _add_ascending(self, ids: np.ndarray) -> bool:
+        """Holds the intervals of `ids` if they ascend from the last held id;
+        False, holding nothing, if they do not."""
+        # a u32 fall wraps to a step above 1, so it ends an interval; an
+        # interval that wrapped past MAX_ID instead ends below its start
+        gaps = np.flatnonzero(ids[1:] - ids[:-1] > 1)
+        lo = np.empty(gaps.size + 1, dtype=np.uint32)
+        hi = np.empty_like(lo)
+        lo[0], hi[-1] = ids[0], ids[-1]
+        ids[1:].take(gaps, out=lo[1:])
+        ids.take(gaps, out=hi[:-1])
+        sizes = hi.astype(np.int64) - lo + 1
+        last = int(self.hi[-1][-1]) if self.hi else -1
+        if (int(lo[0]) < last or (sizes <= 0).any()
+                or (lo[1:] <= hi[:-1]).any()):
+            return False
+        self.held += int(sizes.sum())
+        if self.hi and int(lo[0]) <= last + 1:  # fuses with the last held
+            self.held -= last - int(lo[0]) + 1
+            self.hi[-1][-1] = hi[0]
+            lo, hi = lo[1:], hi[1:]
+        if lo.size:
+            self.lo.append(lo)
+            self.hi.append(hi)
+        return True
+
+    def _expanded(self) -> EdgeBlock:
+        """The held intervals' ids, ascending, as `id << 32` keys."""
+        lo, hi = np.concatenate(self.lo), np.concatenate(self.hi)
+        sizes = hi.astype(np.int64) - lo + 1
+        # the i-th id held is i plus its interval's lo less the ids before it
+        offsets = lo - (np.cumsum(sizes) - sizes)
+        keys = (np.arange(self.held) + np.repeat(offsets, sizes)).astype(np.uint64)
+        keys <<= KEY_SHIFT
+        return keys
+
+
 def grown(buffer: np.ndarray, size: int) -> np.ndarray:
     """A scratch buffer of at least `size` items: `buffer`, or a new one of
     its dtype if it is shorter."""

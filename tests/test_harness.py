@@ -14,7 +14,8 @@ from covsketch.harness import (EVAL_CSV_HEADER, FileEdgeSource, GenEdgeSource,
                                OnceEdgeSource, PhaseTimer, RunReport,
                                emit_report, parse_gen_spec, recount_coverage,
                                scan_shape, solution_json)
-from covsketch.instance import materialize_system, split_keys
+from covsketch.instance import (BLOCK_EDGES, MAX_ID, materialize_system,
+                                split_keys)
 
 
 def test_eval_csv_header_is_pinned():
@@ -193,6 +194,53 @@ def test_recount_coverage_matches_a_set_reference(case):
                 recount_coverage(source, chosen)
         else:
             assert recount_coverage(source, chosen) == want
+
+
+@st.composite
+def element_major_cases(draw):
+    # an element-major prefix, then a tail in any order; dense ids, sparse
+    # ids, and ids that a u32 step wraps past MAX_ID
+    ids = (st.integers(0, 40) | st.integers(0, MAX_ID)
+           | st.integers(MAX_ID - 3, MAX_ID))
+    elements = sorted(draw(st.lists(ids, max_size=120)))
+    elements += draw(st.lists(ids, max_size=30))
+    set_ids = st.integers(0, 30) | st.just(MAX_ID)
+    edges = [(draw(set_ids), v) for v in elements]
+    chosen = draw(st.lists(st.integers(-6, 30) | st.just(MAX_ID), max_size=8))
+    return edges, chosen
+
+
+def _set_reference(edges, chosen):
+    picks = set(chosen)
+    return (len({v for u, v in edges if u in picks}), len({v for _, v in edges}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_major_cases())
+def test_recount_coverage_of_an_element_major_prefix_matches_a_set_reference(case):
+    edges, chosen = case
+    want = _set_reference(edges, chosen)
+    for size in (1, 7, BLOCK_EDGES):
+        assert recount_coverage(_Blocked(edges, size), chosen) == want
+
+
+@pytest.mark.parametrize("elements", [
+    [0, 1, 2, 5, 3, 4, 9, 9],       # disorder from a block's first id
+    [0, 1, 2, 5, 5, 4, 9, 9],       # from a repeat of the last held id
+    [0, 1, 2, 3, 3, 3, 4, 8],       # a run of one id across the boundary
+    [0, 1, 2, 3, 4, 5, 7, 8],       # consecutive ids across it
+    [0, 2, 4, 6, 7, 9, 11, MAX_ID],
+    [1, MAX_ID, 0, MAX_ID],         # a fall that a u32 step wraps to 1
+    [MAX_ID - 1, MAX_ID, MAX_ID, 0],
+], ids=["disorder-at-boundary", "repeat-then-fall", "run-straddles",
+        "consecutive-straddle", "sparse", "wrap-in-block", "wrap-at-boundary"])
+@pytest.mark.parametrize("chosen", [[], [1], [0, 2, MAX_ID]],
+                         ids=["no-picks", "one-pick", "picks"])
+def test_recount_coverage_across_a_block_boundary(elements, chosen):
+    edges = [(v % 3, v) for v in elements]
+    want = _set_reference(edges, chosen)
+    for size in (1, 3, 4, 8):
+        assert recount_coverage(_Blocked(edges, size), chosen) == want
 
 
 def test_materialize_system_popcounts():

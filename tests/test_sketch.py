@@ -17,6 +17,7 @@ from covsketch import (CoverageInstance, Sketch, SketchParams,
                        build_sketch_offline, estimate_coverage, gen_random,
                        load_sketch, sample_subgraph, save_sketch)
 from covsketch.errors import ConfigError, IdRangeError, ParseError, StateError
+from covsketch.harness import recount_coverage
 from covsketch.hashing import ElementHasher, unit_from_u64
 from covsketch.instance import BLOCK_EDGES, EdgeStream, random_edge_blocks
 
@@ -662,3 +663,18 @@ def test_budget_bound_build_stays_within_its_memory_bound():
     assert sk.stats.budget_bound and sk.stats.evicted_elements > 0
     limit = params.edge_budget + params.degree_cap
     assert peak <= 8 * (5 * limit + 4 * BLOCK_EDGES)
+
+
+def test_recount_of_an_element_major_stream_stays_within_its_memory_bound():
+    # the recount of an element-major stream holds intervals of consecutive
+    # element ids, so its tracemalloc peak over read blocks, with k = 10
+    # picks, is one block's temporaries: under 3 BLOCK_EDGES keys of 8 bytes
+    blocks = list(random_edge_blocks(200, 100_000, 0.05, seed=1))
+    tracemalloc.start()
+    try:
+        covered, universe = recount_coverage(EdgeStream(blocks), range(0, 200, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < covered < universe == 100_000
+    assert peak <= 8 * 3 * BLOCK_EDGES
